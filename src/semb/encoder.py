@@ -235,16 +235,16 @@ class Encoder:
 
         H = c.n_heads
         dh = c.dim // H
-        # key visibility, shared by every layer and head
-        keep = np.broadcast_to(mask[:, None, None, :], (B, H, L, L)).reshape(B * H, L, L)
-        keep_t = self._const(keep)
-        fill_t = self._const((1.0 - keep) * -1e9)
+        # key visibility, shared by every layer and head: -1e9 on padding
+        # keys swamps any score, so their softmax weight (and gradient) is 0
+        fill = (1.0 - mask)[:, None, None, :] * -1e9
+        fill_t = self._const(np.broadcast_to(fill, (B, H, L, L)).reshape(B * H, L, L))
 
         for i in range(c.n_layers):
-            h = self._block(i, h, keep_t, fill_t, B, L, H, dh, train)
+            h = self._block(i, h, fill_t, B, L, H, dh, train)
         return h
 
-    def _block(self, i, h, keep_t, fill_t, B, L, H, dh, train):
+    def _block(self, i, h, fill_t, B, L, H, dh, train):
         p = self.params
         c = self.config
         pre = f"layers.{i}."
@@ -261,8 +261,7 @@ class Encoder:
         v = split_heads(proj(flat, "v"))
 
         scores = T.mul_scalar(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        # padding keys: score * 0 + (-1e9), real keys: score * 1 + 0
-        scores = T.add(T.mul(scores, keep_t), fill_t)
+        scores = T.add(scores, fill_t)
         weights = T.softmax(scores)
         ctx = T.matmul(weights, v)
 

@@ -43,7 +43,7 @@ OBJECTIVES = ("classification", "regression", "triplet")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss went non-finite; message says where."""
+    """Loss or gradient norm went non-finite; message says where."""
 
 
 @dataclass
@@ -307,7 +307,13 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
             for p in params.values():
                 p.zero_grad()
             loss.backward()
-            clip_global_norm(params, cfg.grad_clip)
+            # a NaN norm would skip the clip (NaN > max_norm is false) and Adam
+            # would write it into every weight, so stop before the update
+            grad_norm = clip_global_norm(params, cfg.grad_clip)
+            if not math.isfinite(grad_norm):
+                raise TrainingDivergedError(
+                    f"non-finite gradient norm at step {step} (epoch {epoch}, batch {batch_no}, lr {lr:.3g})"
+                )
             adam.step(lr)
 
             record = {"step": step, "lr": lr, "loss": loss_value}

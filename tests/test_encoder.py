@@ -240,6 +240,63 @@ def test_padding_does_not_change_real_positions():
     np.testing.assert_allclose(loose32[:, :6, :], tight32, rtol=1e-5, atol=1e-6)
 
 
+def two_mask_forward(enc, ids, mask):
+    """Encoder.forward with padding keys masked as `scores * keep + fill`."""
+    p, c = enc.params, enc.config
+    B, L = ids.shape
+    H, dh = c.n_heads, c.dim // c.n_heads
+    keep = np.broadcast_to(mask[:, None, None, :], (B, H, L, L)).reshape(B * H, L, L)
+    keep_t = T.tensor(keep, dtype=enc.dtype)
+    fill_t = T.tensor((1.0 - keep) * -1e9, dtype=enc.dtype)
+
+    def linear(x, weight, bias):
+        return T.add_bias(T.matmul(x, p[weight]), p[bias])
+
+    def heads(x):
+        return T.reshape(T.transpose(T.reshape(x, (B, L, H, dh)), (0, 2, 1, 3)), (B * H, L, dh))
+
+    h = T.add_bias(T.embedding(p["tok_emb"], ids), T.slice_rows(p["pos_emb"], 0, L))
+    h = T.layer_norm(h, p["emb_ln.gain"], p["emb_ln.bias"])
+    for i in range(c.n_layers):
+        pre = f"layers.{i}."
+        flat = T.reshape(h, (B * L, c.dim))
+        q, k, v = (heads(linear(flat, pre + "attn.w" + n, pre + "attn.b" + n)) for n in "qkv")
+        scores = T.mul_scalar(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+        ctx = T.matmul(T.softmax(T.add(T.mul(scores, keep_t), fill_t)), v)
+        merged = T.reshape(T.transpose(T.reshape(ctx, (B, H, L, dh)), (0, 2, 1, 3)), (B * L, c.dim))
+        attn = T.reshape(linear(merged, pre + "attn.wo", pre + "attn.bo"), (B, L, c.dim))
+        h = T.layer_norm(T.add(h, attn), p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        flat = T.reshape(h, (B * L, c.dim))
+        inner = T.gelu(linear(flat, pre + "ffn.w1", pre + "ffn.b1"))
+        ffn = T.reshape(linear(inner, pre + "ffn.w2", pre + "ffn.b2"), (B, L, c.dim))
+        h = T.layer_norm(T.add(h, ffn), p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_additive_mask_matches_two_mask_reference_bit_for_bit(dtype):
+    # padding keys get softmax weight exactly 0 whether their score is
+    # zeroed before the -1e9 is added or not, so nothing may move
+    cfg = EncoderConfig(vocab_size=20, dim=8, n_layers=2, n_heads=2, ffn_dim=16, max_seq_len=12)
+    rng = np.random.default_rng(23)
+    ids, mask = make_batch([9, 4, 6], pad_to=11, rng=rng, vocab_size=20)
+    mask = mask.astype(dtype)
+    out_weights = T.tensor(rng.normal(size=(3, 11, cfg.dim)), dtype=dtype)
+
+    def run(forward):
+        enc = Encoder(cfg, seed=23, dtype=dtype)
+        hidden = forward(enc)
+        T.tsum(T.mul(hidden, out_weights)).backward()
+        return hidden.data, {name: t.grad for name, t in enc.params.items()}
+
+    hidden, grads = run(lambda enc: enc.forward(ids, mask))
+    ref_hidden, ref_grads = run(lambda enc: two_mask_forward(enc, ids, mask))
+    np.testing.assert_array_equal(hidden, ref_hidden)
+    for name, ref in ref_grads.items():
+        assert np.abs(ref).max() > 0, name
+        np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+
+
 def test_whole_encoder_gradients_match_finite_differences():
     cfg = EncoderConfig(vocab_size=8, dim=4, n_layers=1, n_heads=2, ffn_dim=6, max_seq_len=6)
     enc = Encoder(cfg, seed=11, dtype=np.float64)

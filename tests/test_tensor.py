@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from semb import tensor as T
+from semb.embedder import SentenceEmbedder
+from semb.encoder import Encoder, EncoderConfig, Vocab
 from semb.tensor import Tensor, ShapeError
 
 
@@ -185,6 +187,34 @@ def test_repeated_backward_after_reset_is_identical():
 
     first, second = run(), run()
     np.testing.assert_array_equal(first, second)
+
+
+def _reachable(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_gradient_buffers_appear_only_once_backward_reaches_them():
+    vocab = Vocab(["red", "blue", "fish", "bird"])
+    cfg = EncoderConfig(vocab_size=vocab.size, dim=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq_len=8)
+    embedder = SentenceEmbedder(vocab, Encoder(cfg, seed=0))
+    pooled = embedder.embed_tensor(["red fish", "blue bird fish fish"])
+    op_outputs = [node for node in _reachable(pooled) if node._op != "leaf"]
+    assert pooled in op_outputs
+    assert all(node.grad is None for node in op_outputs)
+
+    loss = T.tsum(T.mul(pooled, pooled))
+    loss.backward()
+    nodes = _reachable(loss)
+    assert all(node.grad is not None and node.grad.shape == node.shape for node in nodes if node.requires_grad)
+    assert all(node.grad is None for node in nodes if not node.requires_grad)
+    assert all(p.grad is not None for p in embedder.encoder.params.values())
 
 
 def test_select_index_and_slice_rows_grads():
@@ -380,6 +410,22 @@ def test_gradients_match_finite_differences(name):
     args = [Tensor(a, dtype=np.float64) for a in arrays]
     err = T.grad_check(f, args, eps=1e-5)
     assert err < 1e-5, f"{name}: max relative gradient error {err:.3e}"
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_gelu_matches_float64_tanh_formula(dtype, atol):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(-8.0, 8.0, 161), rng.normal(scale=3.0, size=200)]).astype(dtype)
+    xd = x.astype(np.float64)
+    want = 0.5 * xd * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (xd + 0.044715 * xd**3)))
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
+def test_gelu_gradient_is_tight_at_float64():
+    x = t64(np.linspace(-5.0, 5.0, 40).reshape(5, 8))
+    assert T.grad_check(lambda a: T.tsum(T.gelu(a)), [x], eps=1e-5) < 1e-6
 
 
 def test_grad_check_float32_tolerance():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semb import trainer
 from semb.data import PairExample, ScoredPair, TripletExample
 from semb.embedder import SentenceEmbedder
 from semb.encoder import Encoder, EncoderConfig, Vocab
+from semb.objectives import RegressionObjective
 from semb.tensor import Tensor
 from semb.trainer import (
     Adam,
@@ -320,6 +322,44 @@ def test_train_aborts_on_non_finite_loss_with_location():
         train(emb, pair_data(), TrainConfig(objective="classification", batch_size=4))
     message = str(err.value)
     assert "step 0" in message and "lr" in message
+
+
+def test_train_stops_at_the_step_whose_gradient_is_non_finite(monkeypatch):
+    planted = 2
+
+    def nan_backward(x):
+        # identity forward whose backward writes NaN into every upstream gradient
+        out = Tensor(x.data.copy())
+        out.requires_grad = True
+        out._parents = (x,)
+
+        def backward():
+            x.grad += np.nan
+
+        out._backward = backward
+        return out
+
+    class PoisonedRegression(RegressionObjective):
+        calls = 0
+
+        def loss(self, u, v, targets):
+            self.calls += 1
+            loss = super().loss(u, v, targets)
+            return nan_backward(loss) if self.calls == planted + 1 else loss
+
+    monkeypatch.setattr(trainer, "RegressionObjective", PoisonedRegression)
+    emb = tiny_embedder(seed=5)
+    scored = [ScoredPair(a=ex.a, b=ex.b, score=float(i % 6)) for i, ex in enumerate(pair_data())]
+    last_good = {}
+
+    def snapshot(record):
+        last_good.update({name: p.data.copy() for name, p in emb.encoder.params.items()})
+
+    with pytest.raises(TrainingDivergedError) as err:
+        train(emb, scored, TrainConfig(objective="regression", batch_size=2), on_step=snapshot)
+    assert f"gradient norm at step {planted} (" in str(err.value)
+    for name, p in emb.encoder.params.items():
+        np.testing.assert_array_equal(p.data, last_good[name], err_msg=name)
 
 
 def test_on_step_callback_sees_every_record():
