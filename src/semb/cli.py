@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +47,7 @@ from semb.evaluation import (
 from semb.objectives import COMBINE_MODES
 from semb.pooling import POOLING_MODES
 from semb.search import VectorStore, bench_embedding, embed_corpus, most_similar_pair, top_k
-from semb.trainer import OBJECTIVES, TrainConfig, multi_seed_run, train
+from semb.trainer import OBJECTIVES, TrainConfig, example_texts, multi_seed_run, train
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -320,16 +318,6 @@ def _load_train_examples(path: str, objective: str):
     return load_triplets(path)
 
 
-def _example_texts(examples) -> list[str]:
-    texts = []
-    for ex in examples:
-        if hasattr(ex, "anchor"):
-            texts.extend((ex.anchor, ex.positive, ex.negative))
-        else:
-            texts.extend((ex.a, ex.b))
-    return texts
-
-
 def cmd_train(args, cfg: dict) -> int:
     objective = _validate_choice(cfg["train"]["objective"], OBJECTIVES, "train.objective")
     train_path = _require(cfg, "data", "train", "to train on")
@@ -339,7 +327,8 @@ def cmd_train(args, cfg: dict) -> int:
     if init_path:
         embedder = _load_embedder(init_path)
     else:
-        embedder = _fresh_embedder(cfg, _example_texts(examples), cfg["train"]["seed"])
+        texts = [text for ex in examples for text in example_texts(ex)]
+        embedder = _fresh_embedder(cfg, texts, cfg["train"]["seed"])
 
     dev_eval = None
     if cfg["data"]["dev"]:
@@ -351,14 +340,14 @@ def cmd_train(args, cfg: dict) -> int:
             )
 
             def dev_eval(model):
-                acc = triplet_accuracy(lambda ts: model.embed(ts), dev_triplets, metric=tri_metric)
+                acc = triplet_accuracy(model.embed, dev_triplets, metric=tri_metric)
                 return {"triplet_accuracy": acc, "n": len(dev_triplets)}
 
         else:
             dev_pairs = load_scored_pairs(cfg["data"]["dev"])
 
             def dev_eval(model):
-                return evaluate_similarity(lambda ts: model.embed(ts), dev_pairs, metric=metric)
+                return evaluate_similarity(model.embed, dev_pairs, metric=metric)
 
     run_dir = _run_dir(args)
     _write_json(run_dir / "effective-config.json", cfg)
@@ -399,15 +388,6 @@ def cmd_train(args, cfg: dict) -> int:
     _say(args, f"checkpoint: {ckpt_path}")
     _emit(report)
     return 0
-
-
-def _thread_workers() -> int:
-    raw = os.environ.get("SEMB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise CliError(EXIT_CONFIG, f"SEMB_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
 
 
 def _split_flag(raw: str, sep: str) -> list[str]:
@@ -460,10 +440,11 @@ def cmd_ablate(args, cfg: dict) -> int:
         def run_one(seed):
             local = copy.deepcopy(cfg)
             local["encoder"]["pooling"] = pooling
-            embedder = _fresh_embedder(local, _example_texts(examples), seed)
+            texts = [text for ex in examples for text in example_texts(ex)]
+            embedder = _fresh_embedder(local, texts, seed)
             tcfg = _train_config(local, objective=objective, combine_mode=mode, seed=seed)
             train(embedder, examples, tcfg)
-            report = evaluate_similarity(lambda ts: embedder.embed(ts), dev_pairs, metric=metric)
+            report = evaluate_similarity(embedder.embed, dev_pairs, metric=metric)
             return report["spearman"] * 100.0
 
         try:
@@ -472,12 +453,7 @@ def cmd_ablate(args, cfg: dict) -> int:
             return {"objective": objective, "pooling": pooling, "mode": mode, "error": str(exc)}
         return {"objective": objective, "pooling": pooling, "mode": mode, **summary}
 
-    workers = _thread_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
+    results = [run_cell(cell) for cell in cells]
 
     run_dir = _run_dir(args)
     _write_json(run_dir / "effective-config.json", cfg)
@@ -502,7 +478,6 @@ def cmd_embed(args, cfg: dict) -> int:
         [(str(i), text) for i, text in enumerate(sentences)],
         batch_size=cfg["train"]["batch_size"],
         smart=cfg["train"]["smart_batching"],
-        seed=cfg["train"]["seed"],
     )
     run_dir = _run_dir(args)
     _write_json(run_dir / "effective-config.json", cfg)
@@ -547,20 +522,17 @@ def cmd_eval(args, cfg: dict) -> int:
     task = args.task or _sniff_task(eval_path)
     embedder = _load_embedder(ckpt)
 
-    def embed(texts):
-        return embedder.embed(texts)
-
     if task == "sts":
         pairs = load_scored_pairs(eval_path)
         metric = _validate_choice(cfg["eval"]["similarity"], SIMILARITY_METRICS, "eval.similarity")
-        report = dict(evaluate_similarity(embed, pairs, metric=metric))
+        report = dict(evaluate_similarity(embedder.embed, pairs, metric=metric))
         table = [("spearman", report["spearman"]), ("pearson", report["pearson"])]
     elif task == "triplet":
         triplets = load_triplets(eval_path)
         metric = _validate_choice(
             cfg["eval"]["triplet_metric"], TRIPLET_METRICS, "eval.triplet_metric"
         )
-        acc = triplet_accuracy(embed, triplets, metric=metric)
+        acc = triplet_accuracy(embedder.embed, triplets, metric=metric)
         report = {"triplet_accuracy": acc, "n": len(triplets), "metric": metric}
         table = [("triplet_accuracy", acc)]
     else:
@@ -663,7 +635,7 @@ def cmd_bench(args, cfg: dict) -> int:
                    f"{naive['padded_token_count']} padded tokens")
         _say(args, f"throughput ratio {report['throughput_ratio']:.2f}")
     else:
-        smart = args.mode == "smart"
+        smart = cfg["train"]["smart_batching"] if args.mode is None else args.mode == "smart"
         report = bench_embedding(embedder, sentences, batch_size=batch_size, smart=smart, seed=seed)
         _say(args, f"{report['mode']}: {report['sentences_per_second']:.1f} sent/s")
 
@@ -747,7 +719,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("bench", help="throughput and padding benchmark")
     _add_common(p)
     p.add_argument("--paired", action="store_true", help="run smart and naive and report the ratio")
-    p.add_argument("--mode", choices=("smart", "naive"), default="smart")
+    p.add_argument("--mode", choices=("smart", "naive"),
+                   help="batching to time; train.smart_batching decides when omitted")
 
     p = commands.add_parser("inspect", help="dump checkpoint metadata")
     p.add_argument("checkpoint", help="checkpoint file to inspect")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import trainer
 from .binio import FormatError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, EncoderConfig, Vocab
@@ -37,13 +38,17 @@ class SentenceEmbedder:
     def dim(self) -> int:
         return self.encoder.config.dim
 
-    def encode_batch(self, texts):
-        """Pad a list of texts to the longest member; returns (ids, mask, pool_mask)."""
-        encoded = [self.vocab.encode(text, self.encoder.config.max_seq_len) for text in texts]
-        width = max(len(row) for row in encoded)
-        ids = np.full((len(encoded), width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(encoded), width), dtype=self.encoder.dtype)
-        for r, row in enumerate(encoded):
+    def token_ids(self, texts) -> list[list[int]]:
+        """Each text's ids from `Vocab.encode`, truncated to the encoder's max_seq_len."""
+        max_len = self.encoder.config.max_seq_len
+        return [self.vocab.encode(text, max_len) for text in texts]
+
+    def pad(self, rows):
+        """Pad id rows to the longest member; returns (ids, mask, pool_mask)."""
+        width = max(len(row) for row in rows)
+        ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+        mask = np.zeros((len(rows), width), dtype=self.encoder.dtype)
+        for r, row in enumerate(rows):
             ids[r, : len(row)] = row
             mask[r, : len(row)] = 1.0
         if self.include_special:
@@ -57,22 +62,38 @@ class SentenceEmbedder:
             pool_mask[empty] = mask[empty]
         return ids, mask, pool_mask
 
-    def embed_tensor(self, texts, train: bool = False) -> Tensor:
-        """One differentiable forward pass over `texts` (single padded batch)."""
-        ids, mask, pool_mask = self.encode_batch(texts)
+    def encode_batch(self, texts):
+        """Pad a list of texts to the longest member; returns (ids, mask, pool_mask)."""
+        return self.pad(self.token_ids(texts))
+
+    def forward(self, ids, mask, pool_mask, train: bool = False) -> Tensor:
+        """One differentiable forward pass over a padded batch: pooled (B, dim) vectors."""
         hidden = self.encoder.forward(ids, mask, train=train)
         return pool(hidden, pool_mask, self.pooling)
 
-    def embed(self, texts, batch_size: int = 32) -> np.ndarray:
-        """Embed texts in evaluation mode; returns a float32 (len(texts), dim) array."""
-        texts = list(texts)
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        rows = []
-        for start in range(0, len(texts), batch_size):
-            chunk = self.embed_tensor(texts[start : start + batch_size], train=False)
-            rows.append(chunk.data.astype(np.float32, copy=False))
-        return np.vstack(rows)
+    def embed_tensor(self, texts, train: bool = False) -> Tensor:
+        """One differentiable forward pass over `texts` (single padded batch)."""
+        return self.forward(*self.encode_batch(texts), train=train)
+
+    def embed(self, texts, batch_size: int = 32, smart: bool = True) -> np.ndarray:
+        """Embed texts in evaluation mode; returns a float32 (len(texts), dim) array.
+
+        Each text is tokenized once. With `smart`, texts of similar length
+        share a batch, so each batch pads little; otherwise batches are
+        fixed-order chunks. Either way row i is the vector of text i.
+        """
+        rows = self.token_ids(texts)
+        # one batch pads to its longest row however it is planned, and a
+        # one-text query should not pay for the plan
+        if smart and len(rows) > batch_size:
+            # eval batches are independent, so the rng (which only orders them) changes no row
+            batches = trainer.smart_batches([len(row) for row in rows], batch_size, np.random.default_rng(0))
+        else:
+            batches = trainer.naive_batches(len(rows), batch_size)
+        out = np.empty((len(rows), self.dim), dtype=np.float32)
+        for batch in batches:
+            out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
+        return out
 
     def save(self, path, objective: dict | None = None, steps: int = 0) -> None:
         save_checkpoint(

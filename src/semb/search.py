@@ -1,5 +1,9 @@
 """Vector store with exact cosine search, plus an embedding throughput bench.
 
+Corpora reach the store through `SentenceEmbedder.embed`, the one batched
+inference path: `embed_corpus` adds ids to its rows, and
+`bench_embedding` times the same call.
+
 The store serializes to a single binary file (magic "SEMV"): u32
 version, u32 dim, u64 count, a length-prefixed newline-joined id block,
 count*dim little-endian float32 values, CRC-32 trailer.
@@ -137,9 +141,11 @@ class VectorStore:
 def embed_corpus(embedder, sentences, batch_size: int = 32, smart: bool = True, seed: int = 0) -> VectorStore:
     """Embed (id, text) pairs into a store whose rows follow input order.
 
-    Smart batching reorders only the work, not the result: row i of the
-    store is always sentence i. Duplicate ids are rejected before any
-    embedding happens.
+    The vectors come from `SentenceEmbedder.embed`, so row i of the
+    store is always sentence i, however the batches were planned.
+    Duplicate ids are rejected before any embedding happens. `seed` is
+    accepted for callers, but batch order cannot change a row, so it is
+    unused.
     """
     sentences = list(sentences)
     if not sentences:
@@ -155,20 +161,8 @@ def embed_corpus(embedder, sentences, batch_size: int = 32, smart: bool = True, 
         ids.append(id_)
         texts.append(text)
 
-    max_len = embedder.encoder.config.max_seq_len
-    lengths = [len(embedder.vocab.encode(t, max_len)) for t in texts]
-    if smart:
-        batches = smart_batches(lengths, batch_size, np.random.default_rng(seed))
-    else:
-        batches = naive_batches(len(texts), batch_size)
-
-    out = np.empty((len(texts), embedder.dim), dtype=np.float32)
-    for batch in batches:
-        rows = embedder.embed_tensor([texts[i] for i in batch]).data.astype(np.float32, copy=False)
-        out[batch] = rows
-
     store = VectorStore(embedder.dim)
-    store.add_many(ids, out)
+    store.add_many(ids, embedder.embed(texts, batch_size=batch_size, smart=smart))
     return store
 
 
@@ -252,31 +246,25 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
     return MostSimilarResult(id_a=ids[best[0]], id_b=ids[best[1]], score=best_score, comparisons=comparisons)
 
 
-def bench_embedding(embedder, texts, batch_size: int = 32, smart: bool = True, warmup_batches: int = 1, seed: int = 0) -> dict:
-    """Time a full-corpus embedding pass and report padding overhead.
+def bench_embedding(embedder, texts, batch_size: int = 32, smart: bool = True, seed: int = 0) -> dict:
+    """Time `SentenceEmbedder.embed` over a corpus and report padding overhead.
 
-    A few warmup batches run untimed first (their tokenization included)
-    so one-time costs stay out of the measurement; the timed section
-    covers tokenization, padding, and the forward pass for every batch.
+    The timed call covers tokenization, padding and the forward pass of
+    every batch. The token counts come from the same batch plan, rebuilt
+    untimed afterwards.
     """
     texts = list(texts)
     if not texts:
         raise ValueError("bench needs a non-empty corpus")
-    max_len = embedder.encoder.config.max_seq_len
-    lengths = [len(embedder.vocab.encode(t, max_len)) for t in texts]
+    start = time.perf_counter()
+    embedder.embed(texts, batch_size=batch_size, smart=smart)
+    elapsed = time.perf_counter() - start
+
+    lengths = [len(row) for row in embedder.token_ids(texts)]
     if smart:
         batches = smart_batches(lengths, batch_size, np.random.default_rng(seed))
     else:
         batches = naive_batches(len(texts), batch_size)
-
-    for batch in batches[:warmup_batches]:
-        embedder.embed_tensor([texts[i] for i in batch])
-
-    start = time.perf_counter()
-    for batch in batches:
-        embedder.embed_tensor([texts[i] for i in batch])
-    elapsed = time.perf_counter() - start
-
     return {
         "mode": "cpu_smart" if smart else "cpu_naive",
         "total_sentences": len(texts),

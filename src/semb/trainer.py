@@ -34,6 +34,7 @@ __all__ = [
     "naive_batches",
     "padded_token_count",
     "normalize_targets",
+    "example_texts",
     "train",
     "format_mean_std",
     "multi_seed_run",
@@ -216,7 +217,8 @@ def normalize_targets(scores, score_max: float, target_scale: str) -> np.ndarray
     return unit
 
 
-def _example_texts(example):
+def example_texts(example):
+    """The texts of one training example, one per tower."""
     if isinstance(example, TripletExample):
         return (example.anchor, example.positive, example.negative)
     return (example.a, example.b)
@@ -263,10 +265,9 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
     params = {**encoder.params, **objective.parameters()}
     adam = Adam(params)
 
-    max_len = encoder.config.max_seq_len
-    lengths = [
-        max(len(embedder.vocab.encode(text, max_len)) for text in _example_texts(ex)) for ex in examples
-    ]
+    # every text is tokenized once; the length plan and each step's forward reuse its ids
+    rows = [embedder.token_ids(example_texts(ex)) for ex in examples]
+    lengths = [max(len(ids) for ids in example_rows) for example_rows in rows]
     batches_per_epoch = math.ceil(len(examples) / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
 
@@ -284,9 +285,9 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
             batch = [examples[i] for i in idx]
             lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_frac, cfg.constant_after_warmup)
 
-            towers = len(_example_texts(batch[0]))
-            texts = [text for position in range(towers) for ex in batch for text in (_example_texts(ex)[position],)]
-            pooled = embedder.embed_tensor(texts, train=True)
+            towers = len(rows[idx[0]])
+            batch_rows = [rows[i][position] for position in range(towers) for i in idx]
+            pooled = embedder.forward(*embedder.pad(batch_rows), train=True)
             b = len(batch)
             parts = [T.slice_rows(pooled, k * b, (k + 1) * b) for k in range(towers)]
 

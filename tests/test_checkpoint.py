@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semb.binio import ChecksumError, FormatError, TruncatedError, VersionError
 from semb.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
@@ -183,14 +185,35 @@ def test_embedder_vocab_size_must_match_config():
         SentenceEmbedder(vocab, Encoder(cfg))
 
 
-def test_embed_batches_agree_with_single_batch():
+# Row i of a batch sees only its own tokens: padding is masked out of
+# attention and pooling. What batch composition can change is float32
+# rounding (BLAS sums over a padded width in a different order), a few
+# units in the last place of values of order 1.
+FLOAT32_RTOL = 1e-5
+FLOAT32_ATOL = 1e-6
+
+skewed_texts = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(["red", "green", "blue", "fish", "zzz"]), max_size=2),
+        # up to and past max_seq_len (10, cls and sep included), so some rows are truncated
+        st.lists(st.sampled_from(["red", "green", "blue", "fish", "zzz"]), min_size=6, max_size=12),
+    ).map(" ".join),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=skewed_texts, batch_size=st.integers(1, 14))
+def test_embed_batches_agree_with_single_batch(texts, batch_size):
     emb = small_embedder(seed=9)
-    texts = ["red", "green blue", "fish fish fish red green", "blue"] * 3
-    whole = emb.embed(texts, batch_size=64)
-    split = emb.embed(texts, batch_size=2)
-    np.testing.assert_allclose(split, whole, rtol=1e-5, atol=1e-6)
-    assert whole.dtype == np.float32
-    assert whole.shape == (len(texts), emb.dim)
+    smart = emb.embed(texts, batch_size=batch_size)
+    assert smart.dtype == np.float32
+    assert smart.shape == (len(texts), emb.dim)
+    alone = np.vstack([emb.embed([text]) for text in texts])
+    np.testing.assert_allclose(smart, alone, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
+    fixed = emb.embed(texts, batch_size=batch_size, smart=False)
+    np.testing.assert_allclose(smart, fixed, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
 
 
 def test_embed_empty_list():

@@ -269,6 +269,21 @@ def test_bench_paired_reports_both_modes_and_ratio(workspace, capsys, tmp_path):
     assert report["smart"]["real_token_count"] == report["naive"]["real_token_count"]
 
 
+@pytest.mark.parametrize(
+    "flags, mode",
+    [([], "cpu_smart"), (["--train.smart_batching", "false"], "cpu_naive"),
+     (["--train.smart_batching", "false", "--mode", "smart"], "cpu_smart")],
+)
+def test_bench_mode_follows_smart_batching_unless_given(workspace, capsys, flags, mode):
+    code, out, _ = run_cli(
+        capsys,
+        ["bench", "--data.corpus", str(workspace / "corpus.txt"),
+         "--runs-root", str(workspace / "runs"), "--name", "bench-mode", "--quiet"] + flags + TINY,
+    )
+    assert code == 0
+    assert json.loads(out)["mode"] == mode
+
+
 def test_inspect_dumps_manifest(workspace, trained_run, capsys):
     out = main_inspect(capsys, trained_run / "checkpoint.semb")
     report = json.loads(out)

@@ -307,8 +307,9 @@ def test_embed_corpus_rows_follow_input_order():
     sentences = corpus_texts()
     store = embed_corpus(emb, sentences, batch_size=4, smart=True)
     assert store.ids == [id_ for id_, _ in sentences]
-    direct = emb.embed([text for _, text in sentences])
-    np.testing.assert_allclose(store.matrix, direct, rtol=1e-5, atol=1e-6)
+    # one text per call, so no batching can put a row in another's place
+    alone = np.vstack([emb.embed([text]) for _, text in sentences])
+    np.testing.assert_allclose(store.matrix, alone, rtol=1e-5, atol=1e-6)
 
 
 def test_embed_corpus_smart_and_naive_agree():
@@ -318,6 +319,20 @@ def test_embed_corpus_smart_and_naive_agree():
     plain = embed_corpus(emb, sentences, batch_size=4, smart=False)
     assert fast.ids == plain.ids
     np.testing.assert_allclose(fast.matrix, plain.matrix, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("smart", [True, False])
+def test_embed_tokenizes_each_text_once(encode_calls, smart):
+    texts = [text for _, text in corpus_texts()]
+    small_embedder(seed=4).embed(texts, batch_size=4, smart=smart)
+    assert sorted(encode_calls) == sorted(texts)
+
+
+@pytest.mark.parametrize("smart", [True, False])
+def test_embed_corpus_tokenizes_each_text_once(encode_calls, smart):
+    sentences = corpus_texts()
+    embed_corpus(small_embedder(seed=4), sentences, batch_size=4, smart=smart)
+    assert sorted(encode_calls) == sorted(text for _, text in sentences)
 
 
 def test_embed_corpus_rejects_duplicates_and_empty():

@@ -299,6 +299,19 @@ def test_train_regression_and_triplet_paths():
     assert len(r.metrics) == 1
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("smart_batching", [True, False])
+def test_train_tokenizes_each_example_text_once(encode_calls, epochs, smart_batching):
+    triplets = [
+        TripletExample(anchor="red fish", positive="green fish", negative="stone"),
+        TripletExample(anchor="blue bird", positive="bird", negative="river stone cloud"),
+        TripletExample(anchor="cloud", positive="river cloud", negative="red"),
+    ]
+    cfg = TrainConfig(objective="triplet", epochs=epochs, batch_size=2, smart_batching=smart_batching)
+    train(tiny_embedder(seed=4), triplets, cfg)
+    assert sorted(encode_calls) == sorted(text for t in triplets for text in (t.anchor, t.positive, t.negative))
+
+
 def test_train_lr_trace_follows_schedule():
     emb = tiny_embedder(seed=6)
     cfg = TrainConfig(objective="classification", lr=1e-3, epochs=5, batch_size=6, warmup_frac=0.2, seed=1)
