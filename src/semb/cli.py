@@ -19,6 +19,7 @@ import copy
 import json
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -64,32 +65,15 @@ class CliError(Exception):
 # The full config schema with its defaults. Validation walks this: any
 # key not present here is rejected with its dotted path, and each value
 # must match the default's type (paths are strings, null until set).
+# The encoder and train sections are the dataclasses' own fields; the
+# encoder section adds the embedder's pooling settings.
+_EMBEDDER_FIELDS = {"pooling": "mean", "include_special": True}
 _DEFAULTS = {
     "encoder": {
-        "dim": 64,
-        "n_layers": 2,
-        "n_heads": 4,
-        "ffn_dim": 256,
-        "max_seq_len": 64,
-        "dropout": 0.0,
-        "pooling": "mean",
-        "include_special": True,
+        **{f.name: f.default for f in fields(EncoderConfig) if f.name != "vocab_size"},
+        **_EMBEDDER_FIELDS,
     },
-    "train": {
-        "objective": "regression",
-        "lr": 1e-3,
-        "epochs": 1,
-        "batch_size": 16,
-        "warmup_frac": 0.1,
-        "constant_after_warmup": False,
-        "grad_clip": 1.0,
-        "seed": 0,
-        "combine_mode": "u,v,abs",
-        "margin": 1.0,
-        "score_max": 5.0,
-        "target_scale": "unit",
-        "smart_batching": True,
-    },
+    "train": {f.name: f.default for f in fields(TrainConfig)},
     "eval": {
         "similarity": "cosine",
         "triplet_metric": "euclidean",
@@ -112,6 +96,15 @@ _DEFAULTS = {
     },
 }
 
+# The fields no dataclass checks: dotted path -> its choices, or its least value.
+_FIELD_RULES = {
+    "encoder.pooling": POOLING_MODES,
+    "eval.similarity": SIMILARITY_METRICS,
+    "eval.triplet_metric": TRIPLET_METRICS,
+    "eval.folds": 2,
+    "eval.seed": 0,
+}
+
 
 def _check_field(path: str, value, default):
     if default is None:  # file path slots
@@ -124,8 +117,9 @@ def _check_field(path: str, value, default):
         if isinstance(value, bool) or not isinstance(value, int):
             raise CliError(EXIT_CONFIG, f"config field {path} must be an integer")
     elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliError(EXIT_CONFIG, f"config field {path} must be a number")
+        # JSON's NaN and Infinity parse as floats but pass no range check
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise CliError(EXIT_CONFIG, f"config field {path} must be a finite number")
     elif not isinstance(value, str):
         raise CliError(EXIT_CONFIG, f"config field {path} must be a string")
 
@@ -192,7 +186,25 @@ def _load_config(args, leftovers: list[str]) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             _merge_section(cfg, section, {key: value})
+    _check_config(cfg)
     return cfg
+
+
+def _check_config(cfg: dict) -> None:
+    """Check every field of the merged config, whether or not the command uses it."""
+    for section, build in (("encoder", lambda: _encoder_config(cfg, Vocab([]).size)),
+                           ("train", lambda: TrainConfig(**cfg["train"]))):
+        try:
+            build()
+        except ValueError as exc:  # the message starts with the field's name
+            raise CliError(EXIT_CONFIG, f"config field {section}.{exc}")
+    for path, rule in _FIELD_RULES.items():
+        section, key = path.split(".")
+        value = cfg[section][key]
+        if isinstance(rule, tuple):
+            _validate_choice(value, rule, path)
+        elif value < rule:
+            raise CliError(EXIT_CONFIG, f"config field {path} must be at least {rule}, got {value}")
 
 
 _SHORTCUTS = {
@@ -240,52 +252,24 @@ def _read_corpus(path: str) -> list[str]:
     return lines
 
 
-def _validate_choice(value: str, allowed, path: str) -> str:
+def _validate_choice(value: str, allowed, path: str) -> None:
     if value not in allowed:
         raise CliError(
             EXIT_CONFIG, f"config field {path} must be one of {', '.join(allowed)}; got {value!r}"
         )
-    return value
 
 
 def _encoder_config(cfg: dict, vocab_size: int) -> EncoderConfig:
-    enc = cfg["encoder"]
-    try:
-        return EncoderConfig(
-            vocab_size=vocab_size,
-            dim=enc["dim"],
-            n_layers=enc["n_layers"],
-            n_heads=enc["n_heads"],
-            ffn_dim=enc["ffn_dim"],
-            max_seq_len=enc["max_seq_len"],
-            dropout=enc["dropout"],
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"encoder config rejected: {exc}")
-
-
-def _train_config(cfg: dict, *, objective=None, combine_mode=None, seed=None) -> TrainConfig:
-    tr = dict(cfg["train"])
-    if objective is not None:
-        tr["objective"] = objective
-    if combine_mode is not None:
-        tr["combine_mode"] = combine_mode
-    if seed is not None:
-        tr["seed"] = seed
-    try:
-        return TrainConfig(**tr)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"train config rejected: {exc}")
+    enc = {k: v for k, v in cfg["encoder"].items() if k not in _EMBEDDER_FIELDS}
+    return EncoderConfig(vocab_size, **enc)
 
 
 def _fresh_embedder(cfg: dict, texts, seed: int) -> SentenceEmbedder:
     vocab_path = cfg["data"]["vocab"]
     vocab = Vocab.from_file(vocab_path) if vocab_path else Vocab.from_corpus(texts)
-    pooling = _validate_choice(cfg["encoder"]["pooling"], POOLING_MODES, "encoder.pooling")
     encoder = Encoder(_encoder_config(cfg, vocab.size), seed=seed)
-    return SentenceEmbedder(
-        vocab, encoder, pooling=pooling, include_special=cfg["encoder"]["include_special"]
-    )
+    embedder_fields = {k: cfg["encoder"][k] for k in _EMBEDDER_FIELDS}
+    return SentenceEmbedder(vocab, encoder, **embedder_fields)
 
 
 def _load_embedder(path: str) -> SentenceEmbedder:
@@ -319,7 +303,7 @@ def _load_train_examples(path: str, objective: str):
 
 
 def cmd_train(args, cfg: dict) -> int:
-    objective = _validate_choice(cfg["train"]["objective"], OBJECTIVES, "train.objective")
+    objective = cfg["train"]["objective"]
     train_path = _require(cfg, "data", "train", "to train on")
     examples = _load_train_examples(train_path, objective)
 
@@ -332,12 +316,10 @@ def cmd_train(args, cfg: dict) -> int:
 
     dev_eval = None
     if cfg["data"]["dev"]:
-        metric = _validate_choice(cfg["eval"]["similarity"], SIMILARITY_METRICS, "eval.similarity")
+        metric = cfg["eval"]["similarity"]
         if objective == "triplet":
             dev_triplets = load_triplets(cfg["data"]["dev"])
-            tri_metric = _validate_choice(
-                cfg["eval"]["triplet_metric"], TRIPLET_METRICS, "eval.triplet_metric"
-            )
+            tri_metric = cfg["eval"]["triplet_metric"]
 
             def dev_eval(model):
                 acc = triplet_accuracy(model.embed, dev_triplets, metric=tri_metric)
@@ -351,7 +333,7 @@ def cmd_train(args, cfg: dict) -> int:
 
     run_dir = _run_dir(args)
     _write_json(run_dir / "effective-config.json", cfg)
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     ckpt_path = run_dir / "checkpoint.semb"
 
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as metrics_file:
@@ -410,7 +392,7 @@ def cmd_ablate(args, cfg: dict) -> int:
 
     dev_path = _require(cfg, "data", "dev", "to score ablation cells")
     dev_pairs = load_scored_pairs(dev_path)
-    metric = _validate_choice(cfg["eval"]["similarity"], SIMILARITY_METRICS, "eval.similarity")
+    metric = cfg["eval"]["similarity"]
 
     # each block of the grid runs only when its training file is set:
     # data.train feeds the pooling x combine-mode classification cells,
@@ -440,10 +422,11 @@ def cmd_ablate(args, cfg: dict) -> int:
         def run_one(seed):
             local = copy.deepcopy(cfg)
             local["encoder"]["pooling"] = pooling
+            # a regression cell has no combine mode and keeps the configured one
+            local["train"].update(objective=objective, seed=seed, combine_mode=mode or cfg["train"]["combine_mode"])
             texts = [text for ex in examples for text in example_texts(ex)]
             embedder = _fresh_embedder(local, texts, seed)
-            tcfg = _train_config(local, objective=objective, combine_mode=mode, seed=seed)
-            train(embedder, examples, tcfg)
+            train(embedder, examples, TrainConfig(**local["train"]))
             report = evaluate_similarity(embedder.embed, dev_pairs, metric=metric)
             return report["spearman"] * 100.0
 
@@ -524,14 +507,12 @@ def cmd_eval(args, cfg: dict) -> int:
 
     if task == "sts":
         pairs = load_scored_pairs(eval_path)
-        metric = _validate_choice(cfg["eval"]["similarity"], SIMILARITY_METRICS, "eval.similarity")
+        metric = cfg["eval"]["similarity"]
         report = dict(evaluate_similarity(embedder.embed, pairs, metric=metric))
         table = [("spearman", report["spearman"]), ("pearson", report["pearson"])]
     elif task == "triplet":
         triplets = load_triplets(eval_path)
-        metric = _validate_choice(
-            cfg["eval"]["triplet_metric"], TRIPLET_METRICS, "eval.triplet_metric"
-        )
+        metric = cfg["eval"]["triplet_metric"]
         acc = triplet_accuracy(embedder.embed, triplets, metric=metric)
         report = {"triplet_accuracy": acc, "n": len(triplets), "metric": metric}
         table = [("triplet_accuracy", acc)]

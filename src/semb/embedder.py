@@ -110,7 +110,10 @@ class SentenceEmbedder:
     @classmethod
     def load(cls, path) -> "SentenceEmbedder":
         manifest, params = load_checkpoint(path)
-        config = EncoderConfig.from_dict(manifest["config"])
+        try:
+            config = EncoderConfig.from_dict(manifest["config"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: manifest config rejected: {exc}") from None
         vocab = Vocab(manifest["vocab"])
         if vocab.size != config.vocab_size:
             raise FormatError(

@@ -118,6 +118,8 @@ class Vocab:
 
 @dataclass
 class EncoderConfig:
+    """Encoder shape; each check's ValueError message starts with the field's name."""
+
     vocab_size: int
     dim: int = 64
     n_layers: int = 2
@@ -127,8 +129,15 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name in ("dim", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be non-negative, got {self.n_layers}")
+        if self.max_seq_len < 2:
+            raise ValueError(f"max_seq_len must be at least 2 (cls and sep), got {self.max_seq_len}")
         if self.dim % self.n_heads != 0:
-            raise ValueError(f"dim {self.dim} not divisible by n_heads {self.n_heads}")
+            raise ValueError(f"n_heads must divide dim {self.dim}, got {self.n_heads}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the four reserved ids")
         if not 0.0 <= self.dropout < 1.0:

@@ -49,7 +49,9 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    objective: str
+    """Training settings; each check's ValueError message starts with the field's name."""
+
+    objective: str = "regression"
     lr: float = 1e-3
     epochs: int = 1
     batch_size: int = 16
@@ -65,7 +67,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}; expected one of {OBJECTIVES}")
+            raise ValueError(f"objective must be one of {', '.join(OBJECTIVES)}; got {self.objective!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -74,10 +76,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ValueError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grad_clip < 0:
             raise ValueError(f"grad_clip must be non-negative, got {self.grad_clip}")
         if self.combine_mode not in COMBINE_MODES:
-            raise ValueError(f"unknown combine_mode {self.combine_mode!r}")
+            raise ValueError(f"combine_mode must be one of {'; '.join(COMBINE_MODES)}; got {self.combine_mode!r}")
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")
         if self.score_max <= 0:
@@ -200,6 +204,8 @@ def smart_batches(lengths, batch_size: int, rng: np.random.Generator) -> list[li
 
 def naive_batches(count: int, batch_size: int) -> list[list[int]]:
     """Fixed-order chunks of the corpus; the baseline smart batching beats."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     return [list(range(i, min(i + batch_size, count))) for i in range(0, count, batch_size)]
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from semb import synth
+from semb.checkpoint import load_checkpoint, save_checkpoint
 from semb.cli import main
 
 TINY = [
@@ -110,6 +111,113 @@ def test_wrong_field_type_exits_2(workspace, capsys):
     )
     assert code == 2
     assert "train.epochs" in json.loads(out)["error"]["message"]
+
+
+def command_argv(command, workspace, trained_run):
+    """A working invocation of `command` on the workspace files."""
+    ckpt = str(trained_run / "checkpoint.semb")
+    corpus = str(workspace / "corpus.txt")
+    return {
+        "train": ["train", "--data.train", str(workspace / "train.jsonl")] + TINY,
+        "eval": ["eval", "--data.checkpoint", ckpt, "--data.eval", str(workspace / "probe.jsonl")],
+        "embed": ["embed", "--data.checkpoint", ckpt, "--data.corpus", corpus],
+        "bench": ["bench", "--data.corpus", corpus] + TINY,
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("train", ["--encoder.n_heads", "0"], "encoder.n_heads"),
+        ("train", ["--encoder.n_heads", "3"], "encoder.n_heads"),
+        ("train", ["--encoder.dim", "0"], "encoder.dim"),
+        ("train", ["--encoder.dim", "-4"], "encoder.dim"),
+        ("train", ["--encoder.max_seq_len", "1"], "encoder.max_seq_len"),
+        ("train", ["--encoder.ffn_dim", "0"], "encoder.ffn_dim"),
+        ("train", ["--encoder.n_layers", "-1"], "encoder.n_layers"),
+        ("train", ["--seed", "-1"], "train.seed"),
+        ("train", ["--train.seed", "-1"], "train.seed"),
+        ("train", ["--train.lr", "NaN"], "train.lr"),
+        ("train", ["--train.margin", "Infinity"], "train.margin"),
+        ("eval", ["--eval.folds", "1"], "eval.folds"),
+        ("eval", ["--eval.seed", "-1"], "eval.seed"),
+        # fields the command does not use are checked all the same
+        ("embed", ["--train.objective", "bogus"], "train.objective"),
+        ("embed", ["--encoder.pooling", "bogus"], "encoder.pooling"),
+        ("embed", ["--train.batch_size", "0"], "train.batch_size"),
+        ("embed", ["--train.batch_size", "-3", "--train.smart_batching", "false"], "train.batch_size"),
+        ("bench", ["--train.batch_size", "0"], "train.batch_size"),
+        ("bench", ["--train.batch_size", "-3"], "train.batch_size"),
+    ],
+)
+def test_out_of_range_config_value_exits_2_naming_the_field(
+    workspace, trained_run, capsys, command, flags, field
+):
+    argv = command_argv(command, workspace, trained_run) + flags
+    code, out, _ = run_cli(
+        capsys, argv + ["--runs-root", str(workspace / "runs"), "--name", "bad", "--quiet"]
+    )
+    assert code == 2
+    assert field in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"n_heads": 3}, {"colour": "red"}, {"vocab_size": None}],
+    ids=["n_heads-does-not-divide-dim", "unknown-key", "missing-vocab-size"],
+)
+def test_corrupt_manifest_config_exits_3_naming_the_file(
+    workspace, trained_run, capsys, tmp_path, change
+):
+    manifest, params = load_checkpoint(trained_run / "checkpoint.semb")
+    config = {**manifest["config"], **change}
+    config = {k: v for k, v in config.items() if v is not None}
+    bad = tmp_path / "bad-config.semb"
+    save_checkpoint(bad, config, manifest["pooling"], manifest["include_special"],
+                    manifest["vocab"], params)
+    code, out, _ = run_cli(
+        capsys,
+        ["embed", "--data.checkpoint", str(bad), "--data.corpus", str(workspace / "corpus.txt"),
+         "--runs-root", str(workspace / "runs"), "--name", "badcfg", "--quiet"],
+    )
+    assert code == 3
+    assert str(bad) in json.loads(out)["error"]["message"]
+
+
+def test_default_train_effective_config_is_pinned(workspace, capsys):
+    code, _, _ = run_cli(
+        capsys,
+        ["train", "--data.train", str(workspace / "train.jsonl"),
+         "--runs-root", str(workspace / "runs"), "--name", "defaults", "--quiet"],
+    )
+    assert code == 0
+    effective = json.loads(
+        (workspace / "runs" / "defaults" / "effective-config.json").read_text()
+    )
+    assert effective == {
+        "encoder": {
+            "dim": 64, "n_layers": 2, "n_heads": 4, "ffn_dim": 256, "max_seq_len": 64,
+            "dropout": 0.0, "pooling": "mean", "include_special": True,
+        },
+        "train": {
+            "objective": "regression", "lr": 0.001, "epochs": 1, "batch_size": 16,
+            "warmup_frac": 0.1, "constant_after_warmup": False, "grad_clip": 1.0, "seed": 0,
+            "combine_mode": "u,v,abs", "margin": 1.0, "score_max": 5.0,
+            "target_scale": "unit", "smart_batching": True,
+        },
+        "eval": {
+            "similarity": "cosine", "triplet_metric": "euclidean", "folds": 10, "seed": 0,
+            "probe_lr": 0.5, "probe_epochs": 300, "probe_l2": 0.001,
+        },
+        "data": {
+            "train": str(workspace / "train.jsonl"), "regression_train": None, "dev": None,
+            "eval": None, "corpus": None, "checkpoint": None, "init_checkpoint": None,
+            "store": None, "vocab": None,
+        },
+    }
+    # floats stay floats: the file is byte-identical whatever builds the defaults
+    assert isinstance(effective["encoder"]["dropout"], float)
+    assert isinstance(effective["train"]["grad_clip"], float)
 
 
 def test_missing_train_file_config_exits_2(capsys):

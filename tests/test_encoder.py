@@ -108,6 +108,17 @@ def tiny_config(**overrides):
     return EncoderConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", 0), ("dim", -4), ("n_heads", 0), ("n_heads", 3), ("ffn_dim", 0),
+     ("n_layers", -1), ("max_seq_len", 1), ("dropout", 1.0), ("vocab_size", 3)],
+)
+def test_encoder_config_error_starts_with_the_field(field, value):
+    # the CLI prefixes "encoder." to these messages to name the dotted field
+    with pytest.raises(ValueError, match=f"^{field} "):
+        tiny_config(**{field: value})
+
+
 def make_batch(lengths, pad_to, rng, vocab_size=16):
     B = len(lengths)
     ids = np.full((B, pad_to), PAD_ID, dtype=np.int64)

@@ -33,6 +33,13 @@ def small_embedder(seed=0):
     return SentenceEmbedder(vocab, Encoder(cfg, seed=seed))
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_naive_embed_rejects_batch_size_below_one(batch_size):
+    # a chunk plan with no chunks would leave the output rows uninitialized
+    with pytest.raises(ValueError, match="batch_size"):
+        small_embedder().embed(["red fish", "blue bird", "green stone"], batch_size=batch_size, smart=False)
+
+
 def random_store(n, dim, seed):
     rng = np.random.default_rng(seed)
     store = VectorStore(dim)

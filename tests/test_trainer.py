@@ -227,16 +227,13 @@ def test_normalize_targets_unit_and_symmetric():
 
 
 def test_train_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        TrainConfig(objective="mystery")
-    with pytest.raises(ValueError):
-        TrainConfig(objective="triplet", lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(objective="regression", warmup_frac=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(objective="classification", combine_mode="v,u")
-    with pytest.raises(ValueError):
-        TrainConfig(objective="regression", target_scale="squished")
+    cases = [("objective", "mystery"), ("lr", 0.0), ("epochs", 0), ("batch_size", 0),
+             ("seed", -1), ("warmup_frac", 1.5), ("grad_clip", -1.0), ("combine_mode", "v,u"),
+             ("margin", -1.0), ("score_max", 0.0), ("target_scale", "squished")]
+    for field_name, value in cases:
+        # the CLI prefixes "train." to the message to name the dotted field
+        with pytest.raises(ValueError, match=f"^{field_name} "):
+            TrainConfig(**{field_name: value})
 
 
 # --- the loop itself ----------------------------------------------------------
