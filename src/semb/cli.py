@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import operator
 import sys
 import traceback
 from dataclasses import fields
@@ -96,14 +97,19 @@ _DEFAULTS = {
     },
 }
 
-# The fields no dataclass checks: dotted path -> its choices, or its least value.
+# The fields no dataclass checks: dotted path -> its choices, or the
+# comparison its value must pass against a bound.
 _FIELD_RULES = {
     "encoder.pooling": POOLING_MODES,
     "eval.similarity": SIMILARITY_METRICS,
     "eval.triplet_metric": TRIPLET_METRICS,
-    "eval.folds": 2,
-    "eval.seed": 0,
+    "eval.folds": (operator.ge, 2),
+    "eval.seed": (operator.ge, 0),
+    "eval.probe_epochs": (operator.ge, 1),
+    "eval.probe_lr": (operator.gt, 0.0),
+    "eval.probe_l2": (operator.ge, 0.0),
 }
+_BOUND_WORDS = {operator.ge: "at least", operator.gt: "above"}
 
 
 def _check_field(path: str, value, default):
@@ -201,10 +207,12 @@ def _check_config(cfg: dict) -> None:
     for path, rule in _FIELD_RULES.items():
         section, key = path.split(".")
         value = cfg[section][key]
-        if isinstance(rule, tuple):
+        if rule[0] in _BOUND_WORDS:
+            compare, bound = rule
+            if not compare(value, bound):
+                raise CliError(EXIT_CONFIG, f"config field {path} must be {_BOUND_WORDS[compare]} {bound}, got {value}")
+        else:
             _validate_choice(value, rule, path)
-        elif value < rule:
-            raise CliError(EXIT_CONFIG, f"config field {path} must be at least {rule}, got {value}")
 
 
 _SHORTCUTS = {
@@ -663,9 +671,17 @@ def _add_common(sub, with_config: bool = True):
         sub.add_argument("--runs-root", default="runs", help="directory that holds run outputs")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 2 through `_fail`, so stdout still holds one JSON document."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(EXIT_CONFIG, f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semb", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command")
+    parser = _ArgumentParser(prog="semb", description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("train", help="train an embedder and save a checkpoint")
     _add_common(p)
@@ -729,14 +745,11 @@ def _fail(args, exit_code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, leftovers = parser.parse_known_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
-    if args.command != "inspect" and getattr(args, "name", None) is None:
-        args.name = args.command
+    args = None  # until the arguments parse
     try:
+        args, leftovers = _build_parser().parse_known_args(argv)
+        if args.command != "inspect" and getattr(args, "name", None) is None:
+            args.name = args.command
         if args.command == "inspect":
             if leftovers:
                 raise CliError(EXIT_CONFIG, f"unrecognized arguments: {' '.join(leftovers)}")

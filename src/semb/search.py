@@ -4,6 +4,13 @@ Corpora reach the store through `SentenceEmbedder.embed`, the one batched
 inference path: `embed_corpus` adds ids to its rows, and
 `bench_embedding` times the same call.
 
+A store keeps one contiguous float32 matrix and, built on first use
+after an add, its float64 row norms, zero-norm mask and float32 unit
+rows. `top_k` scores the unit rows in float32, then re-scores in float64
+only rows that could reach the top k, so it returns what a float64 sort
+of every row would. `most_similar_pair` scans the cosine matrix's upper
+triangle in blocks of rows.
+
 The store serializes to a single binary file (magic "SEMV"): u32
 version, u32 dim, u64 count, a length-prefixed newline-joined id block,
 count*dim little-endian float32 values, CRC-32 trailer.
@@ -44,7 +51,11 @@ _BLOCK_ROWS = 512
 
 
 class VectorStore:
-    """Ordered id -> vector map with float32 storage."""
+    """Ordered id -> vector map over one contiguous float32 matrix.
+
+    Rows live in a buffer that at least doubles when it fills, so
+    repeated `add` calls stay linear in the number of rows.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -52,9 +63,8 @@ class VectorStore:
         self.dim = dim
         self._ids: list[str] = []
         self._index: dict[str, int] = {}
-        self._rows: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
+        self._buffer = np.empty((0, dim), dtype=np.float32)
+        self._derived: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -68,45 +78,65 @@ class VectorStore:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None or len(self._matrix) != len(self._rows):
-            if self._rows:
-                self._matrix = np.vstack(self._rows)
-            else:
-                self._matrix = np.zeros((0, self.dim), dtype=np.float32)
-        return self._matrix
+        return self._buffer[: len(self._ids)]
 
     @property
     def norms(self) -> np.ndarray:
         """Precomputed L2 norm of every row, in insertion order."""
-        if self._norms is None or len(self._norms) != len(self._rows):
-            self._norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
-        return self._norms
+        return self._normalized()[0]
+
+    def _normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float64 row norms, the zero-norm mask and float32 unit rows (zero rows stay zero)."""
+        if self._derived is None:
+            rows = self.matrix.astype(np.float64)
+            norms = np.linalg.norm(rows, axis=1)
+            dead = ~(norms > 0.0)  # a NaN norm scores like a zero one
+            rows /= np.where(dead, 1.0, norms)[:, None]
+            self._derived = (norms, dead, rows.astype(np.float32))
+        return self._derived
+
+    def _new_index(self, ids: list) -> dict[str, int]:
+        """Row numbers for ids about to be appended; a bad or repeated id is refused."""
+        new: dict[str, int] = {}
+        for row, id_ in enumerate(ids, len(self._ids)):
+            if not isinstance(id_, str) or not id_:
+                raise ValueError("vector id must be a non-empty string")
+            if "\n" in id_:
+                raise ValueError(f"vector id may not contain newlines: {id_!r}")
+            if id_ in self._index or id_ in new:
+                raise ValueError(f"duplicate vector id {id_!r}")
+            new[id_] = row
+        return new
 
     def add(self, id_: str, vector) -> None:
-        if not isinstance(id_, str) or not id_:
-            raise ValueError("vector id must be a non-empty string")
-        if "\n" in id_:
-            raise ValueError(f"vector id may not contain newlines: {id_!r}")
-        if id_ in self._index:
-            raise ValueError(f"duplicate vector id {id_!r}")
-        vector = np.asarray(vector, dtype=np.float32).reshape(-1)
-        if vector.size != self.dim:
-            raise DimensionMismatchError(f"vector for {id_!r} has {vector.size} dims, store expects {self.dim}")
-        self._index[id_] = len(self._ids)
-        self._ids.append(id_)
-        self._rows.append(vector)
-        self._matrix = None
-        self._norms = None
+        self.add_many([id_], np.asarray(vector, dtype=np.float32).reshape(1, -1))
 
     def add_many(self, ids, matrix) -> None:
-        matrix = np.asarray(matrix)
-        for id_, row in zip(ids, matrix, strict=True):
-            self.add(id_, row)
+        """Append one row per id, in order; a refused id or shape adds nothing."""
+        ids = list(ids)
+        rows = np.asarray(matrix, dtype=np.float32)
+        if len(rows) != len(ids):
+            raise ValueError(f"got {len(ids)} ids for {len(rows)} vectors")
+        if not ids:
+            return
+        rows = rows.reshape(len(ids), -1)
+        if rows.shape[1] != self.dim:
+            raise DimensionMismatchError(f"vector for {ids[0]!r} has {rows.shape[1]} dims, store expects {self.dim}")
+        new = self._new_index(ids)
+        start, stop = len(self._ids), len(self._ids) + len(ids)
+        if stop > len(self._buffer):
+            grown = np.empty((max(stop, 2 * len(self._buffer)), self.dim), dtype=np.float32)
+            grown[:start] = self.matrix
+            self._buffer = grown
+        self._buffer[start:stop] = rows
+        self._ids += ids
+        self._index.update(new)
+        self._derived = None
 
     def get(self, id_: str) -> np.ndarray:
         if id_ not in self._index:
             raise KeyError(id_)
-        return self._rows[self._index[id_]].copy()
+        return self._buffer[self._index[id_]].copy()
 
     def save(self, path) -> None:
         body = bytearray()
@@ -121,20 +151,24 @@ class VectorStore:
 
     @classmethod
     def load(cls, path) -> "VectorStore":
+        """Read a `.semv` file; any structural fault, bad ids included, is a `FormatError`."""
         with open(path, "rb") as fh:
             reader = ByteReader(fh.read(), what=str(path))
         reader.expect_magic(STORE_MAGIC)
         reader.expect_version(STORE_VERSION)
         dim = reader.u32()
         count = reader.u64()
-        id_block = reader.block().decode("utf-8")
-        ids = id_block.split("\n") if id_block else []
-        if len(ids) != count:
-            raise FormatError(f"{path}: header says {count} vectors but id block lists {len(ids)}")
+        id_block = reader.block()
         values = reader.f32_array(count * dim)
         reader.verify_crc_trailer()
-        store = cls(dim)
-        store.add_many(ids, values.reshape(count, dim))
+        try:
+            ids = id_block.decode("utf-8").split("\n") if id_block else []
+            if len(ids) != count:
+                raise ValueError(f"header says {count} vectors but id block lists {len(ids)}")
+            store = cls(dim)
+            store.add_many(ids, values.reshape(count, dim))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         return store
 
 
@@ -143,43 +177,25 @@ def embed_corpus(embedder, sentences, batch_size: int = 32, smart: bool = True, 
 
     The vectors come from `SentenceEmbedder.embed`, so row i of the
     store is always sentence i, however the batches were planned.
-    Duplicate ids are rejected before any embedding happens. `seed` is
-    accepted for callers, but batch order cannot change a row, so it is
-    unused.
+    A bad or repeated id is refused before any embedding happens. `seed`
+    is accepted for callers, but batch order cannot change a row, so it
+    is unused.
     """
     sentences = list(sentences)
     if not sentences:
         raise ValueError("embed_corpus needs a non-empty corpus")
-    ids = []
-    texts = []
-    seen = set()
-    for pair in sentences:
-        id_, text = pair
-        if id_ in seen:
-            raise ValueError(f"duplicate sentence id {id_!r}")
-        seen.add(id_)
-        ids.append(id_)
-        texts.append(text)
-
+    ids = [id_ for id_, _ in sentences]
     store = VectorStore(embedder.dim)
-    store.add_many(ids, embedder.embed(texts, batch_size=batch_size, smart=smart))
+    store._new_index(ids)
+    store.add_many(ids, embedder.embed([text for _, text in sentences], batch_size=batch_size, smart=smart))
     return store
 
 
-def _cosine_against_store(store: VectorStore, query: np.ndarray) -> np.ndarray:
-    """Float64 cosine of the query against every row; zero-norm rows score -inf."""
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.size != store.dim:
-        raise DimensionMismatchError(f"query has {query.size} dims, store expects {store.dim}")
-    q_norm = np.linalg.norm(query)
-    if q_norm == 0.0:
-        raise ValueError("cannot search with a zero-norm query")
-    matrix = store.matrix.astype(np.float64)
-    dots = matrix @ query
-    row_norms = store.norms
-    scores = np.full(len(store), -np.inf)
-    valid = row_norms > 0.0
-    scores[valid] = dots[valid] / (row_norms[valid] * q_norm)
+def _cosine_against_store(store: VectorStore, unit_query: np.ndarray) -> np.ndarray:
+    """Float32 cosine of a unit query with every row; zero-norm rows score -inf."""
+    _, dead, unit = store._normalized()
+    scores = unit @ unit_query.astype(np.float32)
+    scores[dead] = -np.inf
     return scores
 
 
@@ -188,14 +204,34 @@ def top_k(store: VectorStore, query, k: int) -> list[tuple[str, float]]:
 
     Equal scores break toward the lexicographically smaller id; rows
     with zero norm never outrank a real match, and a zero-norm query is
-    refused outright.
+    refused outright. Scores are the float64 cosine cast to float32.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    scores = _cosine_against_store(store, query).astype(np.float32)
-    ids = np.array(store.ids)
-    order = np.lexsort((ids, -scores))
-    return [(str(ids[i]), float(scores[i])) for i in order[: min(k, len(store))]]
+    query = np.asarray(query, dtype=np.float64).reshape(-1)
+    if query.size != store.dim:
+        raise DimensionMismatchError(f"query has {query.size} dims, store expects {store.dim}")
+    q_norm = np.linalg.norm(query)
+    if q_norm == 0.0:
+        raise ValueError("cannot search with a zero-norm query")
+    n = len(store)
+    approx = _cosine_against_store(store, query / q_norm)
+    rows = np.arange(n)
+    if k < n:
+        # A float32 cosine is within (dim+2)*2^-24 of the float64 one, and
+        # the float32 cast moves a score by at most 2^-23, so no row of the
+        # exact top k scores below the k-th approximate score less
+        # 2*(dim+3)*2^-24. The margin is about twice that; a -inf k-th
+        # score keeps every row.
+        key = np.fmax(approx, -np.inf)  # rows holding inf score NaN: select them as if -inf
+        kth = float(np.partition(key, n - k)[n - k])
+        rows = np.flatnonzero(key >= kth - 4 * (store.dim + 2) * 2.0**-24)
+    norms, dead, _ = store._normalized()
+    exact = (store.matrix[rows].astype(np.float64) @ query) / (np.where(dead[rows], 1.0, norms[rows]) * q_norm)
+    scores = np.where(np.isneginf(approx[rows]), -np.inf, exact).astype(np.float32)
+    ids = store._ids
+    order = np.lexsort((np.array([ids[i] for i in rows]), -scores))  # NaN scores sort last
+    return [(ids[rows[i]], float(scores[i])) for i in order[:k]]
 
 
 @dataclass(frozen=True)
@@ -216,34 +252,25 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
     n = len(store)
     if n < 2:
         raise ValueError(f"most_similar_pair needs at least 2 vectors, got {n}")
-    matrix = store.matrix.astype(np.float64)
-    norms = store.norms
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = matrix / safe[:, None]
-    dead = norms == 0.0
+    norms, dead, _ = store._normalized()
+    unit = store.matrix.astype(np.float64) / np.where(dead, 1.0, norms)[:, None]
+    dead_rows = np.flatnonzero(dead)
 
     best_score = -np.inf
     best = (0, 1)
-    comparisons = 0
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        block_scores = unit[start:stop] @ unit.T  # (block, n)
-        for local in range(stop - start):
-            g = start + local
-            comparisons += n - g - 1
-            if g + 1 >= n:
-                continue
-            row = block_scores[local, g + 1 :].copy()
-            if dead[g]:
-                row[:] = -np.inf
-            else:
-                row[dead[g + 1 :]] = -np.inf
-            j_local = int(np.argmax(row))  # first hit = smallest j on ties
-            if row[j_local] > best_score:
-                best_score = float(row[j_local])
-                best = (g, g + 1 + j_local)
-    ids = store.ids
-    return MostSimilarResult(id_a=ids[best[0]], id_b=ids[best[1]], score=best_score, comparisons=comparisons)
+        # row i of the block against every row j >= start; j <= i is masked
+        scores = unit[start:stop] @ unit[start:].T
+        scores[:, : stop - start][np.tri(stop - start, dtype=bool)] = -np.inf
+        scores[:, dead_rows[dead_rows >= start] - start] = -np.inf
+        scores[dead[start:stop]] = -np.inf
+        i, j = divmod(int(np.argmax(scores)), n - start)  # row-major: the earliest pair wins ties
+        if scores[i, j] > best_score:
+            best_score = float(scores[i, j])
+            best = (start + i, start + j)
+    ids = store._ids
+    return MostSimilarResult(id_a=ids[best[0]], id_b=ids[best[1]], score=best_score, comparisons=n * (n - 1) // 2)
 
 
 def bench_embedding(embedder, texts, batch_size: int = 32, smart: bool = True, seed: int = 0) -> dict:

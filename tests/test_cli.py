@@ -1,7 +1,10 @@
 import json
 import filecmp
+import struct
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semb import synth
@@ -148,6 +151,10 @@ def command_argv(command, workspace, trained_run):
         ("embed", ["--train.batch_size", "-3", "--train.smart_batching", "false"], "train.batch_size"),
         ("bench", ["--train.batch_size", "0"], "train.batch_size"),
         ("bench", ["--train.batch_size", "-3"], "train.batch_size"),
+        ("eval", ["--eval.probe_epochs", "0"], "eval.probe_epochs"),
+        ("eval", ["--eval.probe_lr", "0"], "eval.probe_lr"),
+        ("eval", ["--eval.probe_lr", "-0.5"], "eval.probe_lr"),
+        ("eval", ["--eval.probe_l2", "-0.001"], "eval.probe_l2"),
     ],
 )
 def test_out_of_range_config_value_exits_2_naming_the_field(
@@ -313,6 +320,17 @@ def test_search_most_similar_pair(workspace, trained_run, capsys):
     report = json.loads(out)
     assert report["comparisons"] == 30 * 29 // 2
     assert report["id_a"] != report["id_b"]
+
+
+@pytest.mark.parametrize("count, id_block", [(2, b"a\na"), (2, b"a\n")], ids=["duplicate-id", "empty-id"])
+def test_search_store_with_bad_ids_exits_3_naming_the_file(capsys, tmp_path, count, id_block):
+    body = b"SEMV" + struct.pack("<IIQI", 1, 2, count, len(id_block)) + id_block
+    body += np.ones(count * 2, dtype="<f4").tobytes()
+    path = tmp_path / "bad.semv"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, out, _ = run_cli(capsys, ["search", "--store", str(path), "--pair", "--quiet"])
+    assert code == 3
+    assert str(path) in json.loads(out)["error"]["message"]
 
 
 def test_search_dim_mismatch_exits_4(workspace, capsys):
@@ -514,3 +532,16 @@ def test_error_output_is_json_on_stdout(capsys):
     payload = json.loads(out)
     assert payload["error"]["exit_code"] == code
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, said",
+    [(["train", "--epochs", "x"], "invalid int value"), ([], "required: command")],
+    ids=["bad-int", "no-command"],
+)
+def test_usage_error_prints_one_json_document_and_exits_2(capsys, argv, said):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"]["exit_code"] == 2
+    assert said in json.loads(out)["error"]["message"]
+    assert err.startswith("usage: semb")

@@ -1,7 +1,10 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semb.search
 from semb.binio import (
@@ -10,6 +13,10 @@ from semb.binio import (
     FormatError,
     TruncatedError,
     VersionError,
+    finish_with_crc,
+    pack_block,
+    pack_u32,
+    pack_u64,
 )
 from semb.embedder import SentenceEmbedder
 from semb.encoder import Encoder, EncoderConfig, Vocab
@@ -160,6 +167,31 @@ def test_store_corruption_is_detected(tmp_path):
         VectorStore.load(tmp_path / "j.semv")
 
 
+def semv_bytes(dim, count, id_block: bytes, values) -> bytes:
+    """A `.semv` file with a valid checksum around whatever header and ids it is given."""
+    body = STORE_MAGIC + pack_u32(STORE_VERSION) + pack_u32(dim) + pack_u64(count) + pack_block(id_block)
+    return finish_with_crc(body + np.asarray(values, dtype="<f4").tobytes())
+
+
+@pytest.mark.parametrize(
+    "dim, count, id_block, problem",
+    [
+        (2, 2, b"a\na", "duplicate"),
+        (2, 2, b"a\n", "non-empty"),
+        (2, 3, b"a\nb", "header says 3"),
+        (0, 1, b"a", "dim"),
+        (2, 1, b"\xff", "utf-8"),
+    ],
+    ids=["duplicate-id", "empty-id", "count-mismatch", "zero-dim", "bad-utf8"],
+)
+def test_store_load_refuses_bad_ids_and_header_as_format_error(tmp_path, dim, count, id_block, problem):
+    path = tmp_path / "bad.semv"
+    path.write_bytes(semv_bytes(dim, count, id_block, np.ones(count * dim)))
+    with pytest.raises(FormatError, match=problem) as info:
+        VectorStore.load(path)
+    assert str(path) in str(info.value)
+
+
 # --- top_k --------------------------------------------------------------------
 
 
@@ -183,6 +215,20 @@ def test_top_k_matches_full_sort_oracle():
         want = brute_force_ranking(store, query)
         assert top_k(store, query, 10) == want[:10]
         assert top_k(store, query, 1) == want[:1]
+
+
+def test_top_k_ranks_rows_a_few_ulps_apart_as_float64_does():
+    # float32 scoring cannot order these rows; the float64 re-rank must
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=32).astype(np.float32)
+    bumps = rng.integers(-2, 3, size=(300, 32)).astype(np.int32)
+    rows = (np.tile(base, (300, 1)).view(np.int32) + bumps).view(np.float32)
+    store = VectorStore(32)
+    store.add_many([f"n{i:03d}" for i in rng.permutation(300)], rows)
+    for query in (base, rng.normal(size=32)):
+        want = brute_force_ranking(store, query)
+        for k in (1, 2, 5, 17, 100, 299):
+            assert top_k(store, query, k) == want[:k]
 
 
 def test_top_k_ties_break_on_ascending_id():
@@ -288,6 +334,13 @@ def test_most_similar_pair_ignores_zero_rows():
     result = most_similar_pair(store)
     assert {result.id_a, result.id_b} == {"x", "y"}
 
+    opposite = VectorStore(2)  # the only real pair scores below a zero row's 0
+    opposite.add("x", [1.0, 0.0])
+    opposite.add("minus-x", [-1.0, 0.0])
+    opposite.add("null", [0.0, 0.0])
+    result = most_similar_pair(opposite)
+    assert (result.id_a, result.id_b, result.score) == ("x", "minus-x", -1.0)
+
 
 def test_most_similar_score_agrees_with_top_k_second_hits():
     store = random_store(25, 4, seed=14)
@@ -296,6 +349,106 @@ def test_most_similar_score_agrees_with_top_k_second_hits():
         top_k(store, store.get(id_), 2)[1][1] for id_ in store.ids
     )
     assert best.score == pytest.approx(runner_up, abs=1e-6)
+
+
+# --- properties -----------------------------------------------------------------
+
+
+def exact_store(seed):
+    """A store whose cosines are exact in binary, so every tie is exact.
+
+    Rows are one of six directions (one of them zero) with 1, 4 or 16
+    entries of +-1, times a power of two: unit rows hold 0, +-1, +-1/2 or
+    +-1/4, and equal directions give bit-identical unit rows. Ids sort
+    in neither insertion nor numeric order.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([4, 5, 17]))
+    directions = np.zeros((6, dim))
+    for direction in directions[1:]:
+        count = rng.choice([1, 4, 16] if dim >= 16 else [1, 4])
+        direction[rng.choice(dim, count, replace=False)] = rng.choice([-1.0, 1.0], count)
+    n = int(rng.integers(1, 41))
+    rows = directions[rng.integers(0, 6, n)] * 2.0 ** rng.integers(-3, 4, (n, 1))
+    store = VectorStore(dim)
+    store.add_many([f"r{j}" for j in rng.permutation(n)], rows)
+    return store, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), query_kind=st.sampled_from(["row", "negated row", "random"]),
+       extra_k=st.integers(-40, 3))
+def test_top_k_equals_a_full_float64_sort(seed, query_kind, extra_k):
+    store, rng = exact_store(seed)
+    query = {
+        "row": lambda: store.matrix[rng.integers(len(store))],
+        "negated row": lambda: -store.matrix[rng.integers(len(store))],
+        "random": lambda: rng.normal(size=store.dim),
+    }[query_kind]()
+    if not np.any(query):
+        query = np.ones(store.dim)
+    k = max(1, len(store) + extra_k)  # k >= n about one time in ten
+    assert top_k(store, query, k) == brute_force_ranking(store, query)[:k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 9))
+def test_most_similar_pair_equals_a_brute_force_scan(seed, block_rows):
+    store, _ = exact_store(seed)
+    if len(store) < 2:
+        return
+    with mock.patch.object(semb.search, "_BLOCK_ROWS", block_rows):
+        got = most_similar_pair(store)
+    want_score, i, j = brute_force_closest_pair(store)
+    assert (got.id_a, got.id_b) == (store.ids[i], store.ids[j])
+    assert got.score == pytest.approx(want_score, abs=1e-12)
+    assert got.comparisons == len(store) * (len(store) - 1) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.one_of(st.sampled_from(["a", "b", "c", "", "d\ne"]), st.just(7)), max_size=5),
+    n_rows=st.integers(0, 6),
+    width=st.sampled_from([2, 3]),
+    has_a=st.booleans(),
+)
+def test_add_many_refuses_exactly_what_repeated_add_refuses(ids, n_rows, width, has_a):
+    def fresh():
+        store = VectorStore(2)
+        if has_a:
+            store.add("a", [1.0, 2.0])
+        return store
+
+    matrix = np.arange(n_rows * width, dtype=np.float32).reshape(n_rows, width)
+    one_by_one = fresh()
+    try:
+        for id_, row in zip(ids, matrix, strict=True):
+            one_by_one.add(id_, row)
+    except ValueError:
+        one_by_one = None
+    batch = fresh()
+    try:
+        batch.add_many(ids, matrix)
+    except ValueError:
+        assert one_by_one is None
+        want = fresh()  # a refused add_many adds nothing
+    else:
+        assert one_by_one is not None
+        want = one_by_one
+    assert batch.ids == want.ids
+    assert batch.matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_repeated_add_grows_the_buffer_geometrically():
+    store = VectorStore(3)
+    buffer, regrowths = store._buffer, 0
+    for i in range(1000):
+        store.add(f"v{i}", [i, 1.0, 2.0])
+        regrowths += store._buffer is not buffer
+        buffer = store._buffer
+    assert regrowths == 11  # capacity 1, 2, 4, ..., 1024
+    assert store.get("v999").tolist() == [999.0, 1.0, 2.0]
+    np.testing.assert_array_equal(store.matrix[:, 0], np.arange(1000))
 
 
 # --- embed_corpus -------------------------------------------------------------
