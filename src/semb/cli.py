@@ -235,8 +235,13 @@ def _say(args, text: str) -> None:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # strict JSON, serialized whole first: a NaN raises before anything is printed
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _json_score(score: float) -> float | None:
+    """A score as strict JSON can hold it: a zero-norm row's -inf (or a NaN) becomes null."""
+    return score if np.isfinite(score) else None
 
 
 def _run_dir(args) -> Path:
@@ -246,7 +251,7 @@ def _run_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _read_corpus(path: str) -> list[str]:
@@ -568,7 +573,7 @@ def cmd_search(args, cfg: dict) -> int:
         report = {
             "id_a": result.id_a,
             "id_b": result.id_b,
-            "score": result.score,
+            "score": _json_score(result.score),
             "comparisons": result.comparisons,
         }
         _say(args, f"most similar: {result.id_a} / {result.id_b} (cosine {result.score:.4f})")
@@ -591,7 +596,7 @@ def cmd_search(args, cfg: dict) -> int:
     report = {
         "query": args.query,
         "k": args.k,
-        "hits": [{"id": id_, "score": score} for id_, score in hits],
+        "hits": [{"id": id_, "score": _json_score(score)} for id_, score in hits],
     }
     for id_, score in hits:
         _say(args, f"{id_:<12} {score:.4f}")

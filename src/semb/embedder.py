@@ -9,7 +9,7 @@ from .binio import FormatError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, EncoderConfig, Vocab
 from .pooling import POOLING_MODES, pool
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = ["SentenceEmbedder"]
 
@@ -80,7 +80,10 @@ class SentenceEmbedder:
 
         Each text is tokenized once. With `smart`, texts of similar length
         share a batch, so each batch pads little; otherwise batches are
-        fixed-order chunks. Either way row i is the vector of text i.
+        fixed-order chunks. Either way row i is the vector of text i. The
+        forward passes run under `no_grad`, so they build no graph and
+        keep no gradient memory; each batch's rows have the bits
+        `embed_tensor` gives for that batch.
         """
         rows = self.token_ids(texts)
         # one batch pads to its longest row however it is planned, and a
@@ -91,8 +94,9 @@ class SentenceEmbedder:
         else:
             batches = trainer.naive_batches(len(rows), batch_size)
         out = np.empty((len(rows), self.dim), dtype=np.float32)
-        for batch in batches:
-            out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
+        with no_grad():
+            for batch in batches:
+                out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
         return out
 
     def save(self, path, objective: dict | None = None, steps: int = 0) -> None:

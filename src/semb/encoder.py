@@ -259,7 +259,7 @@ class Encoder:
         pre = f"layers.{i}."
 
         def proj(flat, which):
-            return T.add_bias(T.matmul(flat, p[pre + "attn.w" + which]), p[pre + "attn.b" + which])
+            return T.linear(flat, p[pre + "attn.w" + which], p[pre + "attn.b" + which])
 
         def split_heads(x):
             return T.reshape(T.transpose(T.reshape(x, (B, L, H, dh)), (0, 2, 1, 3)), (B * H, L, dh))
@@ -275,13 +275,13 @@ class Encoder:
         ctx = T.matmul(weights, v)
 
         merged = T.reshape(T.transpose(T.reshape(ctx, (B, H, L, dh)), (0, 2, 1, 3)), (B * L, c.dim))
-        attn_out = T.reshape(T.add_bias(T.matmul(merged, p[pre + "attn.wo"]), p[pre + "attn.bo"]), (B, L, c.dim))
+        attn_out = T.reshape(T.linear(merged, p[pre + "attn.wo"], p[pre + "attn.bo"]), (B, L, c.dim))
         attn_out = self._maybe_dropout(attn_out, train)
         h = T.layer_norm(T.add(h, attn_out), p[pre + "ln1.gain"], p[pre + "ln1.bias"])
 
         flat = T.reshape(h, (B * L, c.dim))
-        inner = T.gelu(T.add_bias(T.matmul(flat, p[pre + "ffn.w1"]), p[pre + "ffn.b1"]))
-        ffn_out = T.reshape(T.add_bias(T.matmul(inner, p[pre + "ffn.w2"]), p[pre + "ffn.b2"]), (B, L, c.dim))
+        inner = T.gelu(T.linear(flat, p[pre + "ffn.w1"], p[pre + "ffn.b1"]))
+        ffn_out = T.reshape(T.linear(inner, p[pre + "ffn.w2"], p[pre + "ffn.b2"]), (B, L, c.dim))
         ffn_out = self._maybe_dropout(ffn_out, train)
         return T.layer_norm(T.add(h, ffn_out), p[pre + "ln2.gain"], p[pre + "ln2.bias"])
 

@@ -8,8 +8,9 @@ A store keeps one contiguous float32 matrix and, built on first use
 after an add, its float64 row norms, zero-norm mask and float32 unit
 rows. `top_k` scores the unit rows in float32, then re-scores in float64
 only rows that could reach the top k, so it returns what a float64 sort
-of every row would. `most_similar_pair` scans the cosine matrix's upper
-triangle in blocks of rows.
+of every row would. `most_similar_pair` scans the float64 cosine
+matrix's upper triangle in blocks of rows, then re-scores the pairs
+near each block's best one pair at a time, so equal rows tie exactly.
 
 The store serializes to a single binary file (magic "SEMV"): u32
 version, u32 dim, u64 count, a length-prefixed newline-joined id block,
@@ -247,7 +248,9 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
 
     Scores every unordered pair exactly once (n*(n-1)/2 comparisons,
     counted and reported); ties resolve to the earliest pair in
-    insertion order. Rows with zero norm lose to everything.
+    insertion order. A pair's score depends only on its two rows, so
+    copies of the same two rows tie exactly wherever they sit. Rows with
+    zero norm lose to everything.
     """
     n = len(store)
     if n < 2:
@@ -255,6 +258,11 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
     norms, dead, _ = store._normalized()
     unit = store.matrix.astype(np.float64) / np.where(dead, 1.0, norms)[:, None]
     dead_rows = np.flatnonzero(dead)
+    # A GEMM score and a pair's own dot product are each within
+    # (dim+2)*2^-53 of the exact dot product of the unit rows, so the pair
+    # that is best by its own dot product has a GEMM score within four
+    # times that of the GEMM's best.
+    margin = 4 * (store.dim + 2) * 2.0**-53
 
     best_score = -np.inf
     best = (0, 1)
@@ -265,10 +273,21 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
         scores[:, : stop - start][np.tri(stop - start, dtype=bool)] = -np.inf
         scores[:, dead_rows[dead_rows >= start] - start] = -np.inf
         scores[dead[start:stop]] = -np.inf
-        i, j = divmod(int(np.argmax(scores)), n - start)  # row-major: the earliest pair wins ties
-        if scores[i, j] > best_score:
-            best_score = float(scores[i, j])
-            best = (start + i, start + j)
+        row_best = scores.max(axis=1)
+        top = row_best.max()
+        if not top > best_score - margin:  # NaN skips the block, as -inf does
+            continue
+        # GEMM bits depend on a pair's tile position, so equal rows can
+        # score an ulp apart there; re-score the near-best pairs on their own
+        rows = np.flatnonzero(row_best >= top - margin)
+        r, j = np.nonzero(scores[rows] >= top - margin)
+        i = rows[r] + start
+        j += start
+        exact = np.sum(unit[i] * unit[j], axis=1)
+        pick = np.lexsort((j, i, -exact))[0]
+        if exact[pick] > best_score:  # earlier blocks hold the earlier rows
+            best_score = float(exact[pick])
+            best = (int(i[pick]), int(j[pick]))
     ids = store._ids
     return MostSimilarResult(id_a=ids[best[0]], id_b=ids[best[1]], score=best_score, comparisons=n * (n - 1) // 2)
 

@@ -2,8 +2,12 @@
 
 Values are stored row-major in float32 by default; float64 tensors are
 supported so that gradients can be validated against central finite
-differences at tight tolerances. Reductions always accumulate in float64
-regardless of storage dtype.
+differences at tight tolerances. Every op computes in the storage dtype;
+sums and means accumulate in float64 and round back to it.
+
+Ops record a graph for `Tensor.backward`. Inside `no_grad()` they record
+none: each returns a bare tensor, so an inference pass keeps no
+activation alive once its consumer is done with it.
 
 Broadcasting is deliberately restricted: binary elementwise ops require
 identical shapes, with explicit scalar variants (`add_scalar`,
@@ -13,6 +17,9 @@ error, not a silent broadcast.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -29,6 +36,7 @@ __all__ = [
     "abs_diff",
     "matmul",
     "add_bias",
+    "linear",
     "embedding",
     "reshape",
     "transpose",
@@ -49,6 +57,15 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+
+class _GradMode(threading.local):
+    """Per thread: False inside `no_grad()`. Only `_result` reads it."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class ShapeError(ValueError):
@@ -219,7 +236,27 @@ def _topo_order(root):
     return order
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every op returns a bare tensor.
+
+    Such a tensor has no parents and no backward rule, so nothing can be
+    differentiated through it, and each intermediate is freed as soon as
+    the next op has consumed it. The mode belongs to the calling thread,
+    and its previous value is restored on exit, also when the block
+    raises.
+    """
+    saved = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = saved
+
+
 def _result(data, parents, op, backward_fn):
+    if not _grad_mode.enabled:
+        return Tensor(data, _op=op)
     out = Tensor(data, _parents=tuple(parents), _op=op)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -386,6 +423,29 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D x: one node, the same bits as `matmul` then `add_bias`."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: cannot multiply {x.data.shape} by {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear: bias {b.data.shape} does not match {w.data.shape[1]} outputs")
+    if not x.data.dtype == w.data.dtype == b.data.dtype:
+        raise TypeError(f"linear: dtypes {x.data.dtype}, {w.data.dtype} and {b.data.dtype} differ")
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
+
+    def backward():
+        if x.requires_grad:
+            x.grad += np.matmul(out.grad, w.data.T)
+        if w.requires_grad:
+            w.grad += np.matmul(x.data.T, out.grad)
+        if b.requires_grad:
+            b.grad += np.sum(out.grad, axis=0, dtype=np.float64).astype(b.data.dtype)
+
+    out = _result(out_data, (x, w, b), "linear", backward)
+    return out
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into `table` by an integer id array; gradients scatter-add."""
     ids = np.asarray(ids)
@@ -531,16 +591,22 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction for stability."""
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    exp = np.exp(shifted.astype(np.float64))
-    y = (exp / np.sum(exp, axis=-1, keepdims=True)).astype(x.data.dtype)
+    """Softmax over the last axis, with max-subtraction for stability.
+
+    Exponentials are taken in the storage dtype; each row's normalizer
+    is summed in float64.
+    """
+    y = x.data - np.max(x.data, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
 
     def backward():
         if x.requires_grad:
             g = out.grad
-            inner = np.sum((g * y).astype(np.float64), axis=-1, keepdims=True).astype(x.data.dtype)
-            x.grad += (g - inner) * y
+            inner = np.sum(g * y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+            gx = g - inner
+            gx *= y
+            x.grad += gx
 
     out = _result(y, (x,), "softmax", backward)
     return out
@@ -577,31 +643,38 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    Computed in the storage dtype; the mean and variance of each row are
+    accumulated in float64.
+    """
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({n},)")
-    xf = x.data.astype(np.float64)
-    mu = np.mean(xf, axis=-1, keepdims=True)
-    var = np.mean((xf - mu) ** 2, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xf - mu) * inv_std
-    out_data = (xhat * gain.data.astype(np.float64) + bias.data.astype(np.float64)).astype(x.data.dtype)
+    dtype = x.data.dtype
+    mu = np.mean(x.data, axis=-1, keepdims=True, dtype=np.float64)
+    xhat = x.data - mu.astype(dtype)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(dtype)
+    xhat *= inv_std
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward():
-        g = out.grad.astype(np.float64)
+        g = out.grad
+        lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            lead = tuple(range(g.ndim - 1))
-            gain.grad += np.sum(g * xhat, axis=lead).astype(gain.data.dtype)
+            gain.grad += np.sum(g * xhat, axis=lead, dtype=np.float64).astype(dtype)
         if bias.requires_grad:
-            lead = tuple(range(g.ndim - 1))
-            bias.grad += np.sum(g, axis=lead).astype(bias.data.dtype)
+            bias.grad += np.sum(g, axis=lead, dtype=np.float64).astype(dtype)
         if x.requires_grad:
-            gx = g * gain.data.astype(np.float64)
-            mean_gx = np.mean(gx, axis=-1, keepdims=True)
-            mean_gx_xhat = np.mean(gx * xhat, axis=-1, keepdims=True)
-            dx = (gx - mean_gx - xhat * mean_gx_xhat) * inv_std
-            x.grad += dx.astype(x.data.dtype)
+            gx = g * gain.data
+            mean_gx = np.mean(gx, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            mean_gx_xhat = np.mean(gx * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            gx -= mean_gx
+            gx -= xhat * mean_gx_xhat
+            gx *= inv_std
+            x.grad += gx
 
     out = _result(out_data, (x, gain, bias), "layer_norm", backward)
     return out

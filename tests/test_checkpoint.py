@@ -1,15 +1,19 @@
+import gc
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semb import trainer
 from semb.binio import ChecksumError, FormatError, TruncatedError, VersionError
 from semb.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from semb.embedder import SentenceEmbedder
 from semb.encoder import Encoder, EncoderConfig, Vocab
+from semb.tensor import Tensor
 
 
 def small_embedder(seed=0, pooling="mean"):
@@ -214,6 +218,43 @@ def test_embed_batches_agree_with_single_batch(texts, batch_size):
     np.testing.assert_allclose(smart, alone, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
     fixed = emb.embed(texts, batch_size=batch_size, smart=False)
     np.testing.assert_allclose(smart, fixed, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(texts=skewed_texts, batch_size=st.integers(1, 14), smart=st.booleans())
+def test_embed_rows_are_the_bits_of_embed_tensor_on_each_batch(texts, batch_size, smart):
+    emb = small_embedder(seed=5)
+    batches = []
+
+    def recording(plan):
+        def wrapper(*args):
+            planned = plan(*args)
+            batches.extend(planned)
+            return planned
+
+        return wrapper
+
+    with mock.patch.object(trainer, "smart_batches", recording(trainer.smart_batches)), \
+            mock.patch.object(trainer, "naive_batches", recording(trainer.naive_batches)):
+        out = emb.embed(texts, batch_size=batch_size, smart=smart)
+    assert sorted(i for batch in batches for i in batch) == list(range(len(texts)))
+    for batch in batches:
+        want = emb.embed_tensor([texts[i] for i in batch]).data
+        assert out[batch].tobytes() == want.tobytes()
+
+
+def test_embed_leaves_no_graph_for_the_cycle_collector():
+    emb = small_embedder(seed=6, pooling="max")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what the collector frees stays in gc.garbage
+    try:
+        emb.embed(["red fish", "blue green fish fish", "zzz"] * 20, batch_size=4)
+        gc.collect()
+        tensors = [obj for obj in gc.garbage if isinstance(obj, Tensor)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert tensors == []
 
 
 def test_embed_empty_list():

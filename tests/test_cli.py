@@ -10,6 +10,7 @@ import pytest
 from semb import synth
 from semb.checkpoint import load_checkpoint, save_checkpoint
 from semb.cli import main
+from semb.search import VectorStore
 
 TINY = [
     "--encoder.dim", "16", "--encoder.n_layers", "1",
@@ -68,9 +69,19 @@ def trained_run(workspace):
     return workspace / "runs" / "base"
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict JSON parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, argv):
+    """Run one command; its stdout must be one strict JSON document, whatever the exit code."""
     code = main(argv)
     out, err = capsys.readouterr()
+    strict_json(out)
     return code, out, err
 
 
@@ -285,8 +296,8 @@ def test_continuation_reuses_checkpoint_vocab(workspace, trained_run, capsys):
 
 
 def main_inspect(capsys, path):
-    assert main(["inspect", str(path), "--quiet"]) == 0
-    out, _ = capsys.readouterr()
+    code, out, _ = run_cli(capsys, ["inspect", str(path), "--quiet"])
+    assert code == 0
     return out
 
 
@@ -320,6 +331,25 @@ def test_search_most_similar_pair(workspace, trained_run, capsys):
     report = json.loads(out)
     assert report["comparisons"] == 30 * 29 // 2
     assert report["id_a"] != report["id_b"]
+
+
+def test_zero_row_scores_print_as_null(trained_run, capsys, tmp_path):
+    ckpt = str(trained_run / "checkpoint.semb")
+    store = VectorStore(16)  # the TINY encoder's dim
+    store.add("real", np.ones(16))
+    store.add("zero", np.zeros(16))
+    path = str(tmp_path / "zero.semv")
+    store.save(path)
+    code, out, _ = run_cli(
+        capsys, ["search", "--store", path, "--data.checkpoint", ckpt, "--query", "rain", "-k", "2", "--quiet"]
+    )
+    assert code == 0
+    hits = json.loads(out)["hits"]
+    assert [hit["id"] for hit in hits] == ["real", "zero"]
+    assert hits[1]["score"] is None
+    code, out, _ = run_cli(capsys, ["search", "--store", path, "--pair", "--quiet"])
+    assert code == 0
+    assert json.loads(out)["score"] is None
 
 
 @pytest.mark.parametrize("count, id_block", [(2, b"a\na"), (2, b"a\n")], ids=["duplicate-id", "empty-id"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semb import tensor as T
 from semb.data import DataFormatError
@@ -14,7 +16,7 @@ from semb.encoder import (
     Vocab,
     tokenize,
 )
-from semb.pooling import pool
+from semb.pooling import POOLING_MODES, pool
 from semb.tensor import ShapeError
 
 
@@ -231,24 +233,33 @@ def test_forward_matches_reference_multi_layer_multi_head():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def test_padding_does_not_change_real_positions():
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+    extra=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padding_does_not_change_real_positions(lengths, extra, seed):
     cfg = tiny_config()
-    rng = np.random.default_rng(5)
-    ids, mask = make_batch([6, 4], pad_to=6, rng=rng)
-    padded_ids = np.full((2, 9), PAD_ID, dtype=np.int64)
-    padded_ids[:, :6] = ids
-    padded_mask = np.zeros((2, 9))
-    padded_mask[:, :6] = mask
+    rng = np.random.default_rng(seed)
+    width = max(lengths)
+    ids, mask = make_batch(lengths, pad_to=width, rng=rng)
+    padded_ids = np.full((len(lengths), width + extra), PAD_ID, dtype=np.int64)
+    padded_ids[:, :width] = ids
+    padded_mask = np.zeros(padded_ids.shape)
+    padded_mask[:, :width] = mask
+    real = mask.astype(bool)
+    enc_seed = int(rng.integers(2**31))
 
-    enc64 = Encoder(cfg, seed=3, dtype=np.float64)
-    tight = enc64.forward(ids, mask).data
-    loose = enc64.forward(padded_ids, padded_mask).data
-    np.testing.assert_allclose(loose[:, :6, :], tight, atol=1e-12)
-
-    enc32 = Encoder(cfg, seed=3, dtype=np.float32)
-    tight32 = enc32.forward(ids, mask.astype(np.float32)).data
-    loose32 = enc32.forward(padded_ids, padded_mask.astype(np.float32)).data
-    np.testing.assert_allclose(loose32[:, :6, :], tight32, rtol=1e-5, atol=1e-6)
+    for dtype, tol in ((np.float64, dict(rtol=0, atol=1e-12)), (np.float32, dict(rtol=1e-5, atol=1e-6))):
+        enc = Encoder(cfg, seed=enc_seed, dtype=dtype)
+        tight = enc.forward(ids, mask)
+        loose = enc.forward(padded_ids, padded_mask)
+        np.testing.assert_allclose(loose.data[:, :width][real], tight.data[real], **tol)
+        for mode in POOLING_MODES:
+            np.testing.assert_allclose(
+                pool(loose, padded_mask, mode).data, pool(tight, mask, mode).data, **tol
+            )
 
 
 def two_mask_forward(enc, ids, mask):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semb.search
@@ -403,6 +403,43 @@ def test_most_similar_pair_equals_a_brute_force_scan(seed, block_rows):
     assert (got.id_a, got.id_b) == (store.ids[i], store.ids[j])
     assert got.score == pytest.approx(want_score, abs=1e-12)
     assert got.comparisons == len(store) * (len(store) - 1) // 2
+
+
+def duplicate_store(seed):
+    """Up to 600 rows drawn from a few Gaussian float32 rows, one of them sometimes zero.
+
+    Unit rows of equal rows are equal, but a GEMM can give two copies of
+    one pair dot products an ulp apart, depending on where they sit.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([5, 16, 64]))
+    base = rng.normal(size=(int(rng.integers(1, 8)), dim)).astype(np.float32)
+    if rng.random() < 0.3:
+        base[0] = 0.0
+    rows = base[rng.integers(0, len(base), int(rng.integers(2, 601)))]
+    store = VectorStore(dim)
+    store.add_many([f"r{i}" for i in range(len(rows))], rows)
+    return store, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block_rows=st.sampled_from([7, 64, 512]))
+@example(seed=36, block_rows=512)  # a GEMM once gave (0, 24) for a copy of (0, 3)
+def test_most_similar_pair_reports_the_earliest_copy_of_the_best_pair(seed, block_rows):
+    store, rows = duplicate_store(seed)
+    with mock.patch.object(semb.search, "_BLOCK_ROWS", block_rows):
+        got = most_similar_pair(store)
+    a, b = store.ids.index(got.id_a), store.ids.index(got.id_b)
+    copies_a = np.flatnonzero((rows == rows[a]).all(axis=1))
+    copies_b = np.flatnonzero((rows == rows[b]).all(axis=1))
+    assert (a, b) == min((min(i, j), max(i, j)) for i in copies_a for j in copies_b if i != j)
+    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    if norms[a] > 0 and norms[b] > 0:
+        unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
+        cos = np.where(np.outer(norms > 0, norms > 0), unit @ unit.T, -np.inf)
+        assert got.score == pytest.approx(cos[a, b], abs=1e-12)
+        assert got.score >= cos[np.triu_indices(len(rows), 1)].max() - 1e-12
+    assert got.comparisons == len(rows) * (len(rows) - 1) // 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import threading
 import zlib
 
 import numpy as np
@@ -320,6 +321,12 @@ def case_add_bias(rng):
 
 
 @grad_case
+def case_linear(rng):
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))
+    return lambda u, v, c: T.tsum(T.mul(T.linear(u, v, c), T.linear(u, v, c))), [x, w, b]
+
+
+@grad_case
 def case_reshape_transpose(rng):
     a = rng.normal(size=(2, 3, 4))
     return lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (2, 12)), (1, 0)), T.transpose(T.reshape(x, (2, 12)), (1, 0)))), [a]
@@ -454,3 +461,96 @@ def test_grad_check_catches_a_wrong_gradient():
     a = Tensor(np.array([1.0, 2.0]), dtype=np.float64)
     err = T.grad_check(bad_square, [a], eps=1e-5)
     assert err > 1e-2
+
+
+def test_linear_gives_the_bits_of_matmul_then_add_bias():
+    rng = np.random.default_rng(21)
+    arrays = [rng.normal(size=shape).astype(np.float32) for shape in ((37, 24), (24, 40), (40,))]
+    upstream = T.tensor(rng.normal(size=(37, 40)), dtype=np.float32)
+    results = []
+    for op in (T.linear, lambda x, w, b: T.add_bias(T.matmul(x, w), b)):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        T.tsum(T.mul(out, upstream)).backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for fused, pair in zip(*results):
+        assert fused.dtype == pair.dtype == np.float32
+        assert fused.tobytes() == pair.tobytes()
+
+
+def test_linear_rejects_mismatched_operands():
+    x, w, b = T.tensor([[1.0] * 3] * 2), T.tensor([[1.0] * 4] * 3), T.tensor([1.0] * 4)
+    with pytest.raises(ShapeError):
+        T.linear(x, T.tensor(np.ones((2, 4))), b)
+    with pytest.raises(ShapeError):
+        T.linear(x, w, T.tensor(np.ones(3)))
+    with pytest.raises(TypeError):
+        T.linear(x, w, t64(np.ones(4)))
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    x = x.astype(np.float64)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def reference_softmax(x):
+    e = np.exp(x.astype(np.float64) - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (5.0, 2.0), (30.0, -100.0)])
+def test_float32_layer_norm_and_softmax_match_a_float64_reference(scale, offset):
+    rng = np.random.default_rng(int(scale))
+    x = (rng.normal(size=(4, 7, 64)) * scale + offset).astype(np.float32)
+    gain = (1.0 + 0.1 * rng.normal(size=64)).astype(np.float32)
+    bias = (0.1 * rng.normal(size=64)).astype(np.float32)
+    upstream = rng.normal(size=x.shape)
+
+    ln = T.layer_norm(T.tensor(x), T.tensor(gain), T.tensor(bias))
+    assert ln.dtype == np.float32
+    np.testing.assert_allclose(ln.data, reference_layer_norm(x, gain, bias), rtol=0, atol=1e-6)
+    sm = T.softmax(T.tensor(x))
+    assert sm.dtype == np.float32
+    np.testing.assert_allclose(sm.data, reference_softmax(x), rtol=0, atol=1e-6)
+
+    # backward: the float32 rules against the float64 ones, which grad_check validates
+    def input_grads(dtype):
+        grads = []
+        for op in (lambda a: T.layer_norm(a, T.tensor(gain, dtype=dtype), T.tensor(bias, dtype=dtype)), T.softmax):
+            leaf = Tensor(x, requires_grad=True, dtype=dtype)
+            T.tsum(T.mul(op(leaf), T.tensor(upstream, dtype=dtype))).backward()
+            grads.append(leaf.grad)
+        return grads
+
+    for g32, g64 in zip(input_grads(np.float32), input_grads(np.float64)):
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=1e-5, atol=1e-6)
+
+
+def test_no_grad_builds_bare_tensors_and_restores_the_mode():
+    w = Tensor(np.ones((3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    with T.no_grad():
+        outs = [T.linear(w, w, b), T.layer_norm(w, b, b), T.softmax(T.matmul(w, w))]
+        with T.no_grad():
+            pass
+        outs.append(T.add(w, w))  # the inner block restored "off", not "on"
+    for out in outs:
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+    with T.no_grad():  # another thread keeps its own mode
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(T.add(w, w)._backward is not None))
+        worker.start()
+        worker.join(timeout=30)
+    assert seen == [True]
+
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    out = T.linear(w, w, b)
+    assert out._parents == (w, w, b) and out._backward is not None
+    T.tsum(out).backward()
+    assert np.any(w.grad)

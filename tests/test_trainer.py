@@ -277,6 +277,21 @@ def test_train_updates_parameters():
     assert changed == len(before)
 
 
+def test_train_with_an_embedding_epoch_eval_updates_every_parameter():
+    emb = tiny_embedder(seed=2)
+    snapshots = []
+
+    def epoch_eval(embedder):
+        snapshots.append({k: p.data.copy() for k, p in embedder.encoder.params.items()})
+        return {"norm": float(np.linalg.norm(embedder.embed(["red fish", "stone"])))}
+
+    cfg = TrainConfig(objective="classification", epochs=2, batch_size=4)
+    result = train(emb, pair_data(), cfg, epoch_eval=epoch_eval)
+    assert [m["epoch"] for m in result.metrics if "epoch" in m] == [0, 1]
+    # the second epoch still trains every weight after the first epoch's embed
+    assert all(not np.array_equal(snapshots[0][k], p.data) for k, p in emb.encoder.params.items())
+
+
 def test_train_regression_and_triplet_paths():
     emb = tiny_embedder(seed=4)
     scored = [
