@@ -7,8 +7,9 @@ with `effective-config.json` (defaults merged with the config file and any
 `--section.key value` overrides) so a run can be repeated from that file
 alone.
 
-Exit codes: 2 config error (message names the field), 3 data-format error
-(message names file and line), 4 checkpoint/store dimension mismatch,
+Exit codes: 2 config error (message names the field), 3 a file that
+cannot be opened or a data-format error (message names the file, and the
+line where there is one), 4 checkpoint/store dimension mismatch,
 5 degenerate evaluation, 1 anything else.
 """
 
@@ -30,6 +31,7 @@ from semb.checkpoint import VERSION as CHECKPOINT_VERSION
 from semb.checkpoint import load_checkpoint
 from semb.data import (
     DataFormatError,
+    _iter_jsonl,
     build_label_map,
     load_classification_pairs,
     load_labeled_texts,
@@ -55,6 +57,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 EXIT_DEGENERATE = 5
+
+
+# what `open` raises for a path that is missing, unreadable or not a file
+_UNOPENABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 class CliError(Exception):
@@ -244,22 +250,27 @@ def _json_score(score: float) -> float | None:
     return score if np.isfinite(score) else None
 
 
-def _run_dir(args) -> Path:
-    out = Path(args.runs_root) / args.name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _run_dir(args, cfg: dict) -> Path:
+    """Create the run's directory and write the config it ran with."""
+    out = Path(args.runs_root) / args.name
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "effective-config.json", cfg)
+    return out
+
+
+def _finish(run_dir: Path, report: dict) -> int:
+    """Write the run's report.json and print the same document."""
+    _write_json(run_dir / "report.json", report)
+    _emit(report)
+    return 0
+
+
 def _read_corpus(path: str) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot read corpus {path}: {exc.strerror}")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise CliError(EXIT_DATA, f"corpus {path} is empty")
     return lines
@@ -277,18 +288,16 @@ def _encoder_config(cfg: dict, vocab_size: int) -> EncoderConfig:
     return EncoderConfig(vocab_size, **enc)
 
 
-def _fresh_embedder(cfg: dict, texts, seed: int) -> SentenceEmbedder:
-    vocab_path = cfg["data"]["vocab"]
-    vocab = Vocab.from_file(vocab_path) if vocab_path else Vocab.from_corpus(texts)
+def _vocab(cfg: dict, texts) -> Vocab:
+    """The vocabulary file data.vocab names, or else one built from `texts`."""
+    path = cfg["data"]["vocab"]
+    return Vocab.from_file(path) if path else Vocab.from_corpus(texts)
+
+
+def _fresh_embedder(cfg: dict, vocab: Vocab, seed: int) -> SentenceEmbedder:
     encoder = Encoder(_encoder_config(cfg, vocab.size), seed=seed)
     embedder_fields = {k: cfg["encoder"][k] for k in _EMBEDDER_FIELDS}
     return SentenceEmbedder(vocab, encoder, **embedder_fields)
-
-
-def _load_embedder(path: str) -> SentenceEmbedder:
-    if not Path(path).exists():
-        raise CliError(EXIT_DATA, f"checkpoint {path} does not exist")
-    return SentenceEmbedder.load(path)
 
 
 def _objective_manifest(tcfg: TrainConfig, label_map) -> dict:
@@ -307,25 +316,24 @@ def _objective_manifest(tcfg: TrainConfig, label_map) -> dict:
     return {"objective": "triplet", "margin": tcfg.margin}
 
 
-def _load_train_examples(path: str, objective: str):
-    if objective == "classification":
-        return load_classification_pairs(path)
-    if objective == "regression":
-        return load_scored_pairs(path)
-    return load_triplets(path)
+_TRAIN_LOADERS = {
+    "classification": load_classification_pairs,
+    "regression": load_scored_pairs,
+    "triplet": load_triplets,
+}
 
 
 def cmd_train(args, cfg: dict) -> int:
     objective = cfg["train"]["objective"]
     train_path = _require(cfg, "data", "train", "to train on")
-    examples = _load_train_examples(train_path, objective)
+    examples = _TRAIN_LOADERS[objective](train_path)
 
     init_path = cfg["data"]["init_checkpoint"]
     if init_path:
-        embedder = _load_embedder(init_path)
+        embedder = SentenceEmbedder.load(init_path)
     else:
         texts = [text for ex in examples for text in example_texts(ex)]
-        embedder = _fresh_embedder(cfg, texts, cfg["train"]["seed"])
+        embedder = _fresh_embedder(cfg, _vocab(cfg, texts), cfg["train"]["seed"])
 
     dev_eval = None
     if cfg["data"]["dev"]:
@@ -344,8 +352,7 @@ def cmd_train(args, cfg: dict) -> int:
             def dev_eval(model):
                 return evaluate_similarity(model.embed, dev_pairs, metric=metric)
 
-    run_dir = _run_dir(args)
-    _write_json(run_dir / "effective-config.json", cfg)
+    run_dir = _run_dir(args, cfg)
     tcfg = TrainConfig(**cfg["train"])
     ckpt_path = run_dir / "checkpoint.semb"
 
@@ -373,7 +380,6 @@ def cmd_train(args, cfg: dict) -> int:
         "run_dir": str(run_dir),
         "dev": dev_metrics,
     }
-    _write_json(run_dir / "report.json", report)
     _say(args, f"trained {objective} for {tcfg.epochs} epoch(s), {result.total_steps} steps; "
                f"final loss {result.final_loss:.4f}")
     if dev_metrics:
@@ -381,8 +387,7 @@ def cmd_train(args, cfg: dict) -> int:
                           if isinstance(v, float))
         _say(args, f"dev: {shown}")
     _say(args, f"checkpoint: {ckpt_path}")
-    _emit(report)
-    return 0
+    return _finish(run_dir, report)
 
 
 def _split_flag(raw: str, sep: str) -> list[str]:
@@ -410,35 +415,34 @@ def cmd_ablate(args, cfg: dict) -> int:
     # each block of the grid runs only when its training file is set:
     # data.train feeds the pooling x combine-mode classification cells,
     # data.regression_train feeds one regression cell per pooling
-    cls_examples = None
-    if cfg["data"]["train"]:
-        cls_examples = load_classification_pairs(cfg["data"]["train"])
-    reg_examples = None
-    if cfg["data"]["regression_train"]:
-        reg_examples = load_scored_pairs(cfg["data"]["regression_train"])
-    if cls_examples is None and reg_examples is None:
+    training = {}  # objective -> (examples, vocab), both shared by every cell and seed
+    for objective, key, load in (("classification", "train", load_classification_pairs),
+                                 ("regression", "regression_train", load_scored_pairs)):
+        if cfg["data"][key]:
+            examples = load(cfg["data"][key])
+            training[objective] = examples, _vocab(cfg, [text for ex in examples for text in example_texts(ex)])
+    if not training:
         raise CliError(EXIT_CONFIG, "ablate needs data.train or data.regression_train")
 
     cells = []
-    if cls_examples is not None:
+    if "classification" in training:
         for pooling in poolings:
             for mode in modes:
                 cells.append(("classification", pooling, mode))
-    if reg_examples is not None:
+    if "regression" in training:
         for pooling in poolings:
             cells.append(("regression", pooling, None))
 
     def run_cell(cell):
         objective, pooling, mode = cell
-        examples = cls_examples if objective == "classification" else reg_examples
+        examples, vocab = training[objective]
 
         def run_one(seed):
             local = copy.deepcopy(cfg)
             local["encoder"]["pooling"] = pooling
             # a regression cell has no combine mode and keeps the configured one
             local["train"].update(objective=objective, seed=seed, combine_mode=mode or cfg["train"]["combine_mode"])
-            texts = [text for ex in examples for text in example_texts(ex)]
-            embedder = _fresh_embedder(local, texts, seed)
+            embedder = _fresh_embedder(local, vocab, seed)
             train(embedder, examples, TrainConfig(**local["train"]))
             report = evaluate_similarity(embedder.embed, dev_pairs, metric=metric)
             return report["spearman"] * 100.0
@@ -451,23 +455,20 @@ def cmd_ablate(args, cfg: dict) -> int:
 
     results = [run_cell(cell) for cell in cells]
 
-    run_dir = _run_dir(args)
-    _write_json(run_dir / "effective-config.json", cfg)
+    run_dir = _run_dir(args, cfg)
     report = {"seeds": seeds, "metric": metric, "cells": results}
-    _write_json(run_dir / "report.json", report)
 
     _say(args, f"{'objective':<15} {'pooling':<8} {'mode':<14} spearman x100")
     for row in results:
         shown = row.get("formatted", f"failed: {row.get('error')}")
         _say(args, f"{row['objective']:<15} {row['pooling']:<8} {str(row['mode'] or '-'):<14} {shown}")
-    _emit(report)
-    return 0
+    return _finish(run_dir, report)
 
 
 def cmd_embed(args, cfg: dict) -> int:
     ckpt = _require(cfg, "data", "checkpoint", "to embed with")
     corpus_path = _require(cfg, "data", "corpus", "to embed")
-    embedder = _load_embedder(ckpt)
+    embedder = SentenceEmbedder.load(ckpt)
     sentences = _read_corpus(corpus_path)
     store = embed_corpus(
         embedder,
@@ -475,40 +476,25 @@ def cmd_embed(args, cfg: dict) -> int:
         batch_size=cfg["train"]["batch_size"],
         smart=cfg["train"]["smart_batching"],
     )
-    run_dir = _run_dir(args)
-    _write_json(run_dir / "effective-config.json", cfg)
+    run_dir = _run_dir(args, cfg)
     out_path = Path(args.out) if args.out else run_dir / "vectors.semv"
     store.save(out_path)
     report = {"count": len(store.ids), "dim": store.dim, "store": str(out_path)}
     _say(args, f"embedded {report['count']} sentences at dim {report['dim']} -> {out_path}")
-    _emit(report)
-    return 0
+    return _finish(run_dir, report)
 
 
 def _sniff_task(path: str) -> str:
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot read eval file {path}: {exc.strerror}")
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(path, lineno, f"invalid JSON ({exc.msg})")
-            if not isinstance(obj, dict):
-                raise DataFormatError(path, lineno, "expected a JSON object")
-            if "score" in obj:
-                return "sts"
-            if "anchor" in obj:
-                return "triplet"
-            if "text" in obj and "label" in obj:
-                return "probe"
-            raise DataFormatError(
-                path, lineno, "cannot infer task: expected a score, anchor, or text+label field"
-            )
+    for lineno, obj in _iter_jsonl(path):
+        if "score" in obj:
+            return "sts"
+        if "anchor" in obj:
+            return "triplet"
+        if "text" in obj and "label" in obj:
+            return "probe"
+        raise DataFormatError(
+            path, lineno, "cannot infer task: expected a score, anchor, or text+label field"
+        )
     raise CliError(EXIT_DATA, f"eval file {path} is empty")
 
 
@@ -516,7 +502,7 @@ def cmd_eval(args, cfg: dict) -> int:
     ckpt = _require(cfg, "data", "checkpoint", "to evaluate")
     eval_path = _require(cfg, "data", "eval", "to evaluate on")
     task = args.task or _sniff_task(eval_path)
-    embedder = _load_embedder(ckpt)
+    embedder = SentenceEmbedder.load(ckpt)
 
     if task == "sts":
         pairs = load_scored_pairs(eval_path)
@@ -549,21 +535,16 @@ def cmd_eval(args, cfg: dict) -> int:
             _say(args, f"warning: {warning}")
 
     report["task"] = task
-    run_dir = _run_dir(args)
-    _write_json(run_dir / "effective-config.json", cfg)
-    _write_json(run_dir / "report.json", report)
+    run_dir = _run_dir(args, cfg)
     for name, value in table:
         _say(args, f"{name:<18} {value * 100:.2f}")
-    _emit(report)
-    return 0
+    return _finish(run_dir, report)
 
 
 def cmd_search(args, cfg: dict) -> int:
     store_path = args.store or cfg["data"]["store"]
     if not store_path:
         raise CliError(EXIT_CONFIG, "config field data.store (or --store) is required to search")
-    if not Path(store_path).exists():
-        raise CliError(EXIT_DATA, f"store {store_path} does not exist")
     store = VectorStore.load(store_path)
 
     if args.pair:
@@ -583,7 +564,7 @@ def cmd_search(args, cfg: dict) -> int:
     if args.query is None:
         raise CliError(EXIT_CONFIG, "search needs --query TEXT or --pair")
     ckpt = _require(cfg, "data", "checkpoint", "to embed the query")
-    embedder = _load_embedder(ckpt)
+    embedder = SentenceEmbedder.load(ckpt)
     if embedder.dim != store.dim:
         raise DimensionMismatchError(
             f"checkpoint produces dim {embedder.dim} but store {store_path} holds dim {store.dim}"
@@ -608,9 +589,9 @@ def cmd_bench(args, cfg: dict) -> int:
     corpus_path = _require(cfg, "data", "corpus", "to benchmark on")
     sentences = _read_corpus(corpus_path)
     if cfg["data"]["checkpoint"]:
-        embedder = _load_embedder(cfg["data"]["checkpoint"])
+        embedder = SentenceEmbedder.load(cfg["data"]["checkpoint"])
     else:
-        embedder = _fresh_embedder(cfg, sentences, cfg["train"]["seed"])
+        embedder = _fresh_embedder(cfg, _vocab(cfg, sentences), cfg["train"]["seed"])
 
     batch_size = cfg["train"]["batch_size"]
     seed = cfg["train"]["seed"]
@@ -633,17 +614,11 @@ def cmd_bench(args, cfg: dict) -> int:
         report = bench_embedding(embedder, sentences, batch_size=batch_size, smart=smart, seed=seed)
         _say(args, f"{report['mode']}: {report['sentences_per_second']:.1f} sent/s")
 
-    run_dir = _run_dir(args)
-    _write_json(run_dir / "effective-config.json", cfg)
-    _write_json(run_dir / "report.json", report)
-    _emit(report)
-    return 0
+    return _finish(_run_dir(args, cfg), report)
 
 
 def cmd_inspect(args, cfg: dict) -> int:
     path = args.checkpoint
-    if not Path(path).exists():
-        raise CliError(EXIT_DATA, f"checkpoint {path} does not exist")
     manifest, params = load_checkpoint(path)
     entries = [
         {"name": name, "shape": list(array.shape)} for name, array in params.items()
@@ -654,7 +629,7 @@ def cmd_inspect(args, cfg: dict) -> int:
         "encoder": manifest["config"],
         "pooling": manifest["pooling"],
         "include_special": manifest["include_special"],
-        "vocab_size": len(manifest["vocab"]) + 4,
+        "vocab_size": manifest["config"].get("vocab_size"),
         "objective": manifest["objective"],
         "steps": manifest["steps"],
         "parameters": entries,
@@ -772,6 +747,8 @@ def main(argv=None) -> int:
         return _fail(args, EXIT_DATA, str(exc))
     except DegenerateEvalError as exc:
         return _fail(args, EXIT_DEGENERATE, str(exc))
+    except _UNOPENABLE as exc:  # every input file that is missing or unreadable, and any run file
+        return _fail(args, EXIT_DATA, f"cannot open {exc.filename}: {exc.strerror}")
     except Exception as exc:  # keep the stdout JSON contract even on crashes
         traceback.print_exc()
         return _fail(args, 1, f"{type(exc).__name__}: {exc}")

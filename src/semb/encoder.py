@@ -2,8 +2,7 @@
 
 The encoder is a small BERT-style stack (post-layer-norm, GELU feed
 forward, learned positions) built entirely from the autodiff ops in
-`semb.tensor`. A `StaticEncoder` over pretrained word vectors is
-included as a non-trainable baseline.
+`semb.tensor`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "Vocab",
     "EncoderConfig",
     "Encoder",
-    "StaticEncoder",
     "PAD_ID",
     "UNK_ID",
     "CLS_ID",
@@ -205,13 +203,6 @@ class Encoder:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
     def _const(self, arr) -> Tensor:
         return Tensor(np.ascontiguousarray(arr, dtype=self.dtype))
 
@@ -285,45 +276,3 @@ class Encoder:
         ffn_out = self._maybe_dropout(ffn_out, train)
         return T.layer_norm(T.add(h, ffn_out), p[pre + "ln2.gain"], p[pre + "ln2.bias"])
 
-
-class StaticEncoder:
-    """Average of pretrained word vectors; the untrainable baseline.
-
-    Vectors come from the common text format: one `word v1 ... vd` line
-    per entry. Sentences with no in-vocabulary token embed to zeros.
-    """
-
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self.vectors = vectors
-        self.dim = dim
-
-    @classmethod
-    def from_text_file(cls, path) -> "StaticEncoder":
-        vectors: dict[str, np.ndarray] = {}
-        dim = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                parts = raw.rstrip("\n").split(" ")
-                if len(parts) < 2:
-                    raise DataFormatError(path, lineno, "expected 'word v1 ... vd'")
-                word = parts[0]
-                try:
-                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
-                except ValueError:
-                    raise DataFormatError(path, lineno, "non-numeric vector component") from None
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise DataFormatError(path, lineno, f"vector has {vec.size} components, expected {dim}")
-                vectors[word] = vec
-        if dim is None:
-            raise DataFormatError(path, 0, "vector file is empty")
-        return cls(vectors, dim)
-
-    def embed(self, texts) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for row, text in enumerate(texts):
-            hits = [self.vectors[t] for t in tokenize(text) if t in self.vectors]
-            if hits:
-                out[row] = np.mean(hits, axis=0)
-        return out

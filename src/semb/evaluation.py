@@ -1,8 +1,8 @@
 """Embedding quality measures: rank correlation, triplet accuracy, probes.
 
 Everything here consumes plain numpy arrays or an `embed(texts)`
-callable, so trained encoders, static word vectors, and synthetic
-features all evaluate through the same code.
+callable, so trained encoders and synthetic features evaluate through
+the same code.
 """
 
 from __future__ import annotations

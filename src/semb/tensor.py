@@ -5,9 +5,14 @@ supported so that gradients can be validated against central finite
 differences at tight tolerances. Every op computes in the storage dtype;
 sums and means accumulate in float64 and round back to it.
 
-Ops record a graph for `Tensor.backward`. Inside `no_grad()` they record
-none: each returns a bare tensor, so an inference pass keeps no
-activation alive once its consumer is done with it.
+Ops record a graph for `Tensor.backward`: each output keeps its parents
+and a backward rule `backward(g)` that takes the output's gradient as an
+argument and adds its share into the parents' buffers. No rule refers to
+its own output, so a graph holds no reference cycle, and reference
+counting frees it as soon as the caller drops the loss. Inside
+`no_grad()` ops record no graph: each returns a bare tensor, so an
+inference pass keeps no activation alive once its consumer is done with
+it.
 
 Broadcasting is deliberately restricted: binary elementwise ops require
 identical shapes, with explicit scalar variants (`add_scalar`,
@@ -127,29 +132,20 @@ class Tensor:
             raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
-    def assert_finite(self, context=""):
-        if not self.is_finite():
-            where = f" in {context}" if context else ""
-            raise FloatingPointError(f"non-finite values detected{where} (op={self._op})")
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def backward(self):
         """Backpropagate from a scalar loss into every reachable gradient buffer.
 
         Every reachable tensor with `requires_grad` and no `grad` yet
         first gets a zero buffer; then each node's backward rule runs
-        exactly once, deterministically for a fixed graph. Leaves that
-        do not feed the loss keep their (zero-initialized) gradient
-        untouched.
+        exactly once, consumers before producers, as
+        `node._backward(node.grad)`, deterministically for a fixed graph.
+        Leaves that do not feed the loss keep their (zero-initialized)
+        gradient untouched. The graph is freed by reference counting
+        once the caller drops the loss.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -162,53 +158,10 @@ class Tensor:
         self.grad += np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars go through the explicit scalar ops
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return mul_scalar(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
 
 
 def tensor(data, requires_grad=False, dtype=None) -> Tensor:
@@ -284,79 +237,73 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     out_data = a.data + b.data
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad
+            a.grad += g
         if b.requires_grad:
-            b.grad += out.grad
+            b.grad += g
 
-    out = _result(out_data, (a, b), "add", backward)
-    return out
+    return _result(out_data, (a, b), "add", backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     out_data = a.data - b.data
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad
+            a.grad += g
         if b.requires_grad:
-            b.grad -= out.grad
+            b.grad -= g
 
-    out = _result(out_data, (a, b), "sub", backward)
-    return out
+    return _result(out_data, (a, b), "sub", backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out_data = a.data * b.data
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad * b.data
+            a.grad += g * b.data
         if b.requires_grad:
-            b.grad += out.grad * a.data
+            b.grad += g * a.data
 
-    out = _result(out_data, (a, b), "mul", backward)
-    return out
+    return _result(out_data, (a, b), "mul", backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "div")
     out_data = a.data / b.data
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad / b.data
+            a.grad += g / b.data
         if b.requires_grad:
-            b.grad -= out.grad * a.data / (b.data * b.data)
+            b.grad -= g * a.data / (b.data * b.data)
 
-    out = _result(out_data, (a, b), "div", backward)
-    return out
+    return _result(out_data, (a, b), "div", backward)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     out_data = a.data + a.data.dtype.type(c)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad
+            a.grad += g
 
-    out = _result(out_data, (a,), "add_scalar", backward)
-    return out
+    return _result(out_data, (a,), "add_scalar", backward)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
     out_data = a.data * c
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad * c
+            a.grad += g * c
 
-    out = _result(out_data, (a,), "mul_scalar", backward)
-    return out
+    return _result(out_data, (a,), "mul_scalar", backward)
 
 
 def abs_diff(a: Tensor, b: Tensor) -> Tensor:
@@ -365,14 +312,13 @@ def abs_diff(a: Tensor, b: Tensor) -> Tensor:
     diff = a.data - b.data
     sign = np.sign(diff)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += out.grad * sign
+            a.grad += g * sign
         if b.requires_grad:
-            b.grad -= out.grad * sign
+            b.grad -= g * sign
 
-    out = _result(np.abs(diff), (a, b), "abs_diff", backward)
-    return out
+    return _result(np.abs(diff), (a, b), "abs_diff", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +340,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise TypeError(f"matmul: dtypes {a.data.dtype} and {b.data.dtype} differ")
     out_data = np.matmul(a.data, b.data)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
+            a.grad += np.matmul(g, np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b.grad += np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
+            b.grad += np.matmul(np.swapaxes(a.data, -1, -2), g)
 
-    out = _result(out_data, (a, b), "matmul", backward)
-    return out
+    return _result(out_data, (a, b), "matmul", backward)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -413,14 +358,13 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     lead_axes = tuple(range(x.data.ndim - b.data.ndim))
     out_data = x.data + b.data
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad += out.grad
+            x.grad += g
         if b.requires_grad:
-            b.grad += np.sum(out.grad, axis=lead_axes, dtype=np.float64).astype(b.data.dtype)
+            b.grad += np.sum(g, axis=lead_axes, dtype=np.float64).astype(b.data.dtype)
 
-    out = _result(out_data, (x, b), "add_bias", backward)
-    return out
+    return _result(out_data, (x, b), "add_bias", backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -434,16 +378,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad += np.matmul(out.grad, w.data.T)
+            x.grad += np.matmul(g, w.data.T)
         if w.requires_grad:
-            w.grad += np.matmul(x.data.T, out.grad)
+            w.grad += np.matmul(x.data.T, g)
         if b.requires_grad:
-            b.grad += np.sum(out.grad, axis=0, dtype=np.float64).astype(b.data.dtype)
+            b.grad += np.sum(g, axis=0, dtype=np.float64).astype(b.data.dtype)
 
-    out = _result(out_data, (x, w, b), "linear", backward)
-    return out
+    return _result(out_data, (x, w, b), "linear", backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -455,25 +398,23 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise IndexError(f"embedding: id out of range for table with {table.data.shape[0]} rows")
     out_data = table.data[ids]
 
-    def backward():
+    def backward(g):
         if table.requires_grad:
             width = table.data.shape[1]
-            np.add.at(table.grad, ids.reshape(-1), out.grad.reshape(-1, width))
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, width))
 
-    out = _result(out_data, (table,), "embedding", backward)
-    return out
+    return _result(out_data, (table,), "embedding", backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     in_shape = x.data.shape
     out_data = np.reshape(x.data, shape)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad += out.grad.reshape(in_shape)
+            x.grad += g.reshape(in_shape)
 
-    out = _result(out_data, (x,), "reshape", backward)
-    return out
+    return _result(out_data, (x,), "reshape", backward)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -481,12 +422,11 @@ def transpose(x: Tensor, axes) -> Tensor:
     inverse = tuple(np.argsort(axes))
     out_data = np.transpose(x.data, axes)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad += np.transpose(out.grad, inverse)
+            x.grad += np.transpose(g, inverse)
 
-    out = _result(out_data, (x,), "transpose", backward)
-    return out
+    return _result(out_data, (x,), "transpose", backward)
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -497,40 +437,37 @@ def concat(parts, axis: int) -> Tensor:
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(g):
         for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             if part.requires_grad:
-                index = [slice(None)] * out.grad.ndim
+                index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
-                part.grad += out.grad[tuple(index)]
+                part.grad += g[tuple(index)]
 
-    out = _result(out_data, parts, "concat", backward)
-    return out
+    return _result(out_data, parts, "concat", backward)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     out_data = x.data[start:stop]
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad[start:stop] += out.grad
+            x.grad[start:stop] += g
 
-    out = _result(out_data, (x,), "slice_rows", backward)
-    return out
+    return _result(out_data, (x,), "slice_rows", backward)
 
 
 def select_index(x: Tensor, axis: int, index: int) -> Tensor:
     """Pick one slice along `axis`, removing that axis."""
     out_data = np.take(x.data, index, axis=axis)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
             slicer = [slice(None)] * x.data.ndim
             slicer[axis] = index
-            x.grad[tuple(slicer)] += out.grad
+            x.grad[tuple(slicer)] += g
 
-    out = _result(out_data, (x,), "select_index", backward)
-    return out
+    return _result(out_data, (x,), "select_index", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +477,14 @@ def select_index(x: Tensor, axis: int, index: int) -> Tensor:
 def tsum(x: Tensor, axis=None) -> Tensor:
     out_data = _reduce_sum(x.data, axis=axis)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
             if axis is None:
-                x.grad += out.grad
+                x.grad += g
             else:
-                x.grad += np.expand_dims(out.grad, axis)
+                x.grad += np.expand_dims(g, axis)
 
-    out = _result(out_data, (x,), "sum", backward)
-    return out
+    return _result(out_data, (x,), "sum", backward)
 
 
 def tmean(x: Tensor, axis=None) -> Tensor:
@@ -558,15 +494,14 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     out_data = (_reduce_sum(x.data, axis=axis).astype(np.float64) / count).astype(x.data.dtype)
     inv = 1.0 / count
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
             if axis is None:
-                x.grad += out.grad * inv
+                x.grad += g * inv
             else:
-                x.grad += np.expand_dims(out.grad, axis) * inv
+                x.grad += np.expand_dims(g, axis) * inv
 
-    out = _result(out_data, (x,), "mean", backward)
-    return out
+    return _result(out_data, (x,), "mean", backward)
 
 
 def max_over_axis(x: Tensor, axis: int) -> Tensor:
@@ -576,14 +511,13 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
     out_data = np.max(x.data, axis=axis)
     argmax = np.argmax(x.data, axis=axis)  # first occurrence wins ties
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
             mask = np.zeros_like(x.data)
             np.put_along_axis(mask, np.expand_dims(argmax, axis), 1.0, axis=axis)
-            x.grad += mask * np.expand_dims(out.grad, axis)
+            x.grad += mask * np.expand_dims(g, axis)
 
-    out = _result(out_data, (x,), "max_over_axis", backward)
-    return out
+    return _result(out_data, (x,), "max_over_axis", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +534,14 @@ def softmax(x: Tensor) -> Tensor:
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            g = out.grad
             inner = np.sum(g * y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
             gx = g - inner
             gx *= y
             x.grad += gx
 
-    out = _result(y, (x,), "softmax", backward)
-    return out
+    return _result(y, (x,), "softmax", backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -632,14 +564,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     losses = (-log_probs[np.arange(rows), labels]).astype(logits.data.dtype)
     probs = np.exp(log_probs)
 
-    def backward():
+    def backward(g):
         if logits.requires_grad:
             delta = probs.copy()
             delta[np.arange(rows), labels] -= 1.0
-            logits.grad += (delta * out.grad[:, None]).astype(logits.data.dtype)
+            logits.grad += (delta * g[:, None]).astype(logits.data.dtype)
 
-    out = _result(losses, (logits,), "cross_entropy", backward)
-    return out
+    return _result(losses, (logits,), "cross_entropy", backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -660,8 +591,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xhat * gain.data
     out_data += bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
             gain.grad += np.sum(g * xhat, axis=lead, dtype=np.float64).astype(dtype)
@@ -676,8 +606,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gx *= inv_std
             x.grad += gx
 
-    out = _result(out_data, (x, gain, bias), "layer_norm", backward)
-    return out
+    return _result(out_data, (x, gain, bias), "layer_norm", backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -691,38 +620,35 @@ def gelu(x: Tensor) -> Tensor:
     t = np.tanh(inner)
     out_data = (0.5 * xd * (1.0 + t)).astype(xd.dtype)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
             sech2 = 1.0 - t * t
             local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-            x.grad += (out.grad * local).astype(xd.dtype)
+            x.grad += (g * local).astype(xd.dtype)
 
-    out = _result(out_data, (x,), "gelu", backward)
-    return out
+    return _result(out_data, (x,), "gelu", backward)
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); subgradient 0 at x == 0."""
     mask = x.data > 0
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad += out.grad * mask
+            x.grad += g * mask
 
-    out = _result(np.where(mask, x.data, x.data.dtype.type(0)), (x,), "relu", backward)
-    return out
+    return _result(np.where(mask, x.data, x.data.dtype.type(0)), (x,), "relu", backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
     out_data = np.sqrt(x.data)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
             # clamp keeps the subgradient finite if an input sits exactly at 0
-            x.grad += out.grad * (0.5 / np.maximum(out_data, 1e-12))
+            x.grad += g * (0.5 / np.maximum(out_data, 1e-12))
 
-    out = _result(out_data, (x,), "sqrt", backward)
-    return out
+    return _result(out_data, (x,), "sqrt", backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -734,12 +660,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     scale = x.data.dtype.type(1.0 / (1.0 - rate))
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x.grad += out.grad * keep * scale
+            x.grad += g * keep * scale
 
-    out = _result(x.data * keep * scale, (x,), "dropout", backward)
-    return out
+    return _result(x.data * keep * scale, (x,), "dropout", backward)
 
 
 # ---------------------------------------------------------------------------

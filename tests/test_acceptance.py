@@ -17,6 +17,7 @@ import io
 import json
 import math
 import re
+import statistics
 import time
 
 import numpy as np
@@ -466,12 +467,19 @@ def test_07_smart_batching_pads_less_and_runs_faster():
         encoder = Encoder(EncoderConfig(vocab_size=vocab.size), seed=0)
         embedder = SentenceEmbedder(vocab, encoder)
 
-        smart = bench_embedding(embedder, corpus, batch_size=16, smart=True, seed=0)
-        naive = bench_embedding(embedder, corpus, batch_size=16, smart=False, seed=0)
+        # a cold first call pays for allocation and caches, so it is not timed;
+        # then three calls per mode, alternating, and the median of each
+        embedder.embed(corpus, batch_size=16)
+        runs = {True: [], False: []}
+        for _ in range(3):
+            for mode in runs:
+                runs[mode].append(bench_embedding(embedder, corpus, batch_size=16, smart=mode, seed=0))
+        smart, naive = runs[True][0], runs[False][0]
 
         assert smart["real_token_count"] == naive["real_token_count"]
         assert smart["padded_token_count"] < naive["padded_token_count"]
-        ratio = smart["sentences_per_second"] / naive["sentences_per_second"]
+        speed = {mode: statistics.median(r["sentences_per_second"] for r in rows) for mode, rows in runs.items()}
+        ratio = speed[True] / speed[False]
         assert ratio > 1.2, f"throughput ratio {ratio:.2f}"
 
 

@@ -575,3 +575,61 @@ def test_usage_error_prints_one_json_document_and_exits_2(capsys, argv, said):
     assert json.loads(out)["error"]["exit_code"] == 2
     assert said in json.loads(out)["error"]["message"]
     assert err.startswith("usage: semb")
+
+
+# each data field, read by a command that needs it, beside the files that command also needs
+_READERS = {
+    "train": ("train", ["train"]),
+    "dev": ("train", ["train", "dev"]),
+    "init_checkpoint": ("train", ["train", "init_checkpoint"]),
+    "vocab": ("train", ["train", "vocab"]),
+    "regression_train": ("ablate", ["regression_train", "dev"]),
+    "eval": ("eval", ["checkpoint", "eval"]),
+    "corpus": ("embed", ["checkpoint", "corpus"]),
+    "checkpoint": ("embed", ["checkpoint", "corpus"]),
+    "store": ("search", ["store"]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_READERS))
+def test_missing_input_file_exits_3_naming_the_file(workspace, trained_run, capsys, tmp_path, field):
+    command, fields = _READERS[field]
+    present = {
+        "train": workspace / "train.jsonl",
+        "dev": workspace / "dev.jsonl",
+        "checkpoint": trained_run / "checkpoint.semb",
+        "corpus": workspace / "corpus.txt",
+    }
+    missing = str(tmp_path / f"no-{field}")
+    argv = [command, "--runs-root", str(tmp_path / "runs"), "--quiet"] + TINY
+    for name in fields:
+        argv += [f"--data.{name}", missing if name == field else str(present[name])]
+    if command == "search":
+        argv.append("--pair")
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 3
+    assert missing in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "embed", "eval", "bench"])
+def test_every_run_writes_its_config_and_a_report_equal_to_stdout(
+    workspace, trained_run, capsys, tmp_path, command
+):
+    ckpt = str(trained_run / "checkpoint.semb")
+    corpus = str(workspace / "corpus.txt")
+    argv = {
+        "train": ["--data.train", str(workspace / "train.jsonl")] + TINY,
+        "ablate": ["--data.train", str(workspace / "nli.jsonl"), "--data.dev", str(workspace / "dev.jsonl"),
+                   "--poolings", "mean", "--modes", "abs", "--seeds", "0,1"] + TINY,
+        "embed": ["--data.checkpoint", ckpt, "--data.corpus", corpus],
+        "eval": ["--data.checkpoint", ckpt, "--data.eval", str(workspace / "dev.jsonl")],
+        "bench": ["--data.corpus", corpus] + TINY,
+    }[command]
+    code, out, _ = run_cli(capsys, [command, "--runs-root", str(tmp_path), "--name", "run", "--quiet"] + argv)
+    assert code == 0
+    run_dir = tmp_path / "run"
+    assert strict_json((run_dir / "report.json").read_text()) == strict_json(out)
+    effective = strict_json((run_dir / "effective-config.json").read_text())
+    given = {flag[len("--data."):]: value for flag, value in zip(argv, argv[1:]) if flag.startswith("--data.")}
+    assert {key: effective["data"][key] for key in given} == given
+    assert set(effective) == {"encoder", "train", "eval", "data"}

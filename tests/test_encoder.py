@@ -12,7 +12,6 @@ from semb.encoder import (
     UNK_ID,
     Encoder,
     EncoderConfig,
-    StaticEncoder,
     Vocab,
     tokenize,
 )
@@ -150,11 +149,6 @@ def test_forward_rejects_overlong_sequences():
     ids = np.full((1, 5), CLS_ID)
     with pytest.raises(ShapeError):
         enc.forward(ids, np.ones((1, 5)))
-
-
-def test_num_parameters_matches_shapes():
-    enc = Encoder(tiny_config())
-    assert enc.num_parameters() == sum(int(np.prod(p.shape)) for p in enc.params.values())
 
 
 def test_dropout_only_active_in_train_mode():
@@ -336,30 +330,3 @@ def test_whole_encoder_gradients_match_finite_differences():
     err = T.grad_check(loss_fn, [enc.params[n] for n in names], eps=1e-5)
     assert err < 1e-5, f"max relative gradient error {err:.3e}"
 
-
-# --- static word-vector encoder ----------------------------------------------
-
-
-def test_static_encoder_averages_known_words(tmp_path):
-    path = tmp_path / "vecs.txt"
-    path.write_text("hot 1.0 0.0\ncold 0.0 1.0\n", encoding="utf-8")
-    enc = StaticEncoder.from_text_file(path)
-    assert enc.dim == 2
-    out = enc.embed(["Hot cold", "hot", "zzz unknown"])
-    np.testing.assert_allclose(out, [[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]])
-
-
-def test_static_encoder_rejects_ragged_or_bad_lines(tmp_path):
-    path = tmp_path / "vecs.txt"
-    path.write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
-    with pytest.raises(DataFormatError) as err:
-        StaticEncoder.from_text_file(path)
-    assert err.value.line == 2
-
-    path.write_text("a 1.0 x\n", encoding="utf-8")
-    with pytest.raises(DataFormatError):
-        StaticEncoder.from_text_file(path)
-
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(DataFormatError):
-        StaticEncoder.from_text_file(path)

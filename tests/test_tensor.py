@@ -44,7 +44,7 @@ def test_softmax_rows_sum_to_one():
     x = t64(rng.normal(size=(5, 9)) * 30.0)
     y = T.softmax(x)
     np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(5), atol=1e-12)
-    assert y.is_finite()
+    assert np.isfinite(y.data).all()
 
 
 def test_softmax_stable_at_large_magnitude():
@@ -146,31 +146,31 @@ def test_layer_norm_output_is_normalized():
 def test_backward_requires_scalar():
     x = t64(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        (x * 2.0).backward()
+        T.mul_scalar(x, 2.0).backward()
 
 
 def test_grad_accumulates_until_zeroed():
     x = t64([2.0], requires_grad=True)
-    T.tsum(x * 3.0).backward()
+    T.tsum(T.mul_scalar(x, 3.0)).backward()
     np.testing.assert_array_equal(x.grad, [3.0])
-    T.tsum(x * 3.0).backward()
+    T.tsum(T.mul_scalar(x, 3.0)).backward()
     np.testing.assert_array_equal(x.grad, [6.0])
     x.zero_grad()
-    T.tsum(x * 3.0).backward()
+    T.tsum(T.mul_scalar(x, 3.0)).backward()
     np.testing.assert_array_equal(x.grad, [3.0])
 
 
 def test_disconnected_leaf_keeps_zero_grad():
     x = t64([1.0], requires_grad=True)
     y = t64([1.0], requires_grad=True)
-    T.tsum(x * 2.0).backward()
+    T.tsum(T.mul_scalar(x, 2.0)).backward()
     np.testing.assert_array_equal(y.grad, [0.0])
 
 
 def test_diamond_graph_reuses_node_once():
     # z = x*x + x*x: each path contributes 2x, total 4x
     x = t64([3.0], requires_grad=True)
-    sq = x * x
+    sq = T.mul(x, x)
     T.tsum(T.add(sq, sq)).backward()
     np.testing.assert_array_equal(x.grad, [12.0])
 
@@ -262,12 +262,6 @@ def test_reduction_accumulates_in_float64():
     assert T.tsum(x).item() == float(n)
 
 
-def test_assert_finite_raises_on_nan():
-    x = T.tensor([np.nan])
-    with pytest.raises(FloatingPointError):
-        x.assert_finite("unit test")
-
-
 GRAD_CASES = {}
 
 
@@ -341,7 +335,7 @@ def case_concat(rng):
 @grad_case
 def case_slice_select(rng):
     a = rng.normal(size=(5, 4))
-    return lambda x: T.tsum(T.slice_rows(x, 1, 4)) + T.tsum(T.select_index(x, axis=1, index=2)), [a]
+    return lambda x: T.add(T.tsum(T.slice_rows(x, 1, 4)), T.tsum(T.select_index(x, axis=1, index=2))), [a]
 
 
 @grad_case
@@ -452,8 +446,8 @@ def test_grad_check_catches_a_wrong_gradient():
         out.grad = np.zeros_like(out.data)
         out._parents = (x,)
 
-        def backward():
-            x.grad += out.grad * x.data  # missing factor of 2
+        def backward(g):
+            x.grad += g * x.data  # missing factor of 2
 
         out._backward = backward
         return T.tsum(out)

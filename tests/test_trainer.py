@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semb import tensor as T
 from semb import trainer
 from semb.data import PairExample, ScoredPair, TripletExample
 from semb.embedder import SentenceEmbedder
@@ -358,7 +360,7 @@ def test_train_stops_at_the_step_whose_gradient_is_non_finite(monkeypatch):
         out.requires_grad = True
         out._parents = (x,)
 
-        def backward():
+        def backward(g):
             x.grad += np.nan
 
         out._backward = backward
@@ -385,6 +387,38 @@ def test_train_stops_at_the_step_whose_gradient_is_non_finite(monkeypatch):
     assert f"gradient norm at step {planted} (" in str(err.value)
     for name, p in emb.encoder.params.items():
         np.testing.assert_array_equal(p.data, last_good[name], err_msg=name)
+
+
+def _tensors_only_the_cycle_collector_frees(run):
+    """Call `run` with the cycle collector off, then return the Tensors it finds unreachable."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what the collector frees stays in gc.garbage
+    try:
+        run()
+        gc.collect()
+        return [obj for obj in gc.garbage if isinstance(obj, Tensor)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("objective", ["classification", "regression", "triplet"])
+def test_reference_counting_frees_every_graph(objective):
+    emb = tiny_embedder(seed=3)
+    examples = {
+        "classification": pair_data(),
+        "regression": [ScoredPair(a=ex.a, b=ex.b, score=float(i % 6)) for i, ex in enumerate(pair_data())],
+        "triplet": [TripletExample(anchor="red fish", positive="green fish", negative="stone")] * 12,
+    }[objective]
+    one_step = TrainConfig(objective=objective, batch_size=len(examples))
+    assert _tensors_only_the_cycle_collector_frees(lambda: train(emb, examples, one_step)) == []
+
+    def forward_and_backward():
+        T.tsum(emb.embed_tensor(["red fish", "blue bird stone stone"], train=True)).backward()
+
+    assert _tensors_only_the_cycle_collector_frees(forward_and_backward) == []
 
 
 def test_on_step_callback_sees_every_record():
