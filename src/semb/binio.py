@@ -9,6 +9,8 @@ can report bad files precisely.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -25,6 +27,7 @@ __all__ = [
     "pack_u64",
     "pack_block",
     "finish_with_crc",
+    "write_atomic",
 ]
 
 
@@ -64,6 +67,25 @@ def pack_block(payload: bytes) -> bytes:
 def finish_with_crc(body: bytes) -> bytes:
     """Append the CRC-32 of everything written so far."""
     return body + pack_u32(zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def write_atomic(path, *chunks: bytes) -> None:
+    """Replace the file at `path` by `chunks` through a temp file beside it, whole or not at all.
+
+    No fsync: a crash of the process leaves the old file, a crash of the machine may not.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):  # name the file the caller asked for, not the temp file
+            exc.filename, exc.filename2 = path, None
+        raise
 
 
 class ByteReader:

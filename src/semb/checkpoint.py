@@ -17,11 +17,12 @@ be loaded (or a single tensor seeked to) with no side files.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 
 import numpy as np
 
-from .binio import ByteReader, FormatError, pack_block, pack_u32
+from .binio import ByteReader, FormatError, pack_block, pack_u32, write_atomic
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -43,7 +44,8 @@ def save_checkpoint(
 
     `params` maps name -> array-like; storage is float32 regardless of
     the in-memory dtype. `objective` is free-form metadata about how the
-    model was trained (it does not affect loading).
+    model was trained (it does not affect loading). A save that fails
+    leaves the file already at `path` untouched.
     """
     arrays = []
     entries = []
@@ -64,12 +66,14 @@ def save_checkpoint(
         "params": entries,
     }
     payload = b"".join(arr.tobytes() for arr in arrays)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(pack_u32(VERSION))
-        fh.write(pack_block(json.dumps(manifest, ensure_ascii=False).encode("utf-8")))
-        fh.write(payload)
-        fh.write(pack_u32(zlib.crc32(payload) & 0xFFFFFFFF))
+    write_atomic(
+        path,
+        MAGIC,
+        pack_u32(VERSION),
+        pack_block(json.dumps(manifest, ensure_ascii=False).encode("utf-8")),
+        payload,
+        pack_u32(zlib.crc32(payload) & 0xFFFFFFFF),
+    )
 
 
 def load_checkpoint(path):
@@ -102,9 +106,6 @@ def load_checkpoint(path):
                 f" but its data starts at {actual_offset}"
             )
         shape = tuple(int(s) for s in entry["shape"])
-        count = 1
-        for s in shape:
-            count *= s
-        params[entry["name"]] = reader.f32_array(count).reshape(shape)
+        params[entry["name"]] = reader.f32_array(math.prod(shape)).reshape(shape)
     reader.verify_crc_trailer(start=payload_start)
     return manifest, params

@@ -26,17 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from semb.binio import DimensionMismatchError, FormatError
+from semb.binio import DimensionMismatchError, FormatError, write_atomic
 from semb.checkpoint import VERSION as CHECKPOINT_VERSION
 from semb.checkpoint import load_checkpoint
 from semb.data import (
     DataFormatError,
     _iter_jsonl,
     build_label_map,
-    load_classification_pairs,
     load_labeled_texts,
     load_scored_pairs,
     load_triplets,
+    read_lines,
 )
 from semb.embedder import SentenceEmbedder
 from semb.encoder import Encoder, EncoderConfig, Vocab
@@ -184,6 +184,9 @@ def _load_config(args, leftovers: list[str]) -> dict:
             text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(EXIT_CONFIG, f"cannot read config {config_path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise CliError(EXIT_CONFIG, f"config {config_path} is not UTF-8: byte {exc.object[exc.start]:#04x}"
+                                        f" at offset {exc.start}")
         try:
             loaded = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -251,7 +254,7 @@ def _json_score(score: float) -> float | None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def _run_dir(args, cfg: dict) -> Path:
@@ -270,7 +273,8 @@ def _finish(run_dir: Path, report: dict) -> int:
 
 
 def _read_corpus(path: str) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # a corpus line also ends at U+2028 and the other breaks str.splitlines knows
+    lines = [line for _, raw in read_lines(path) for line in raw.splitlines()]
     if not lines:
         raise CliError(EXIT_DATA, f"corpus {path} is empty")
     return lines
@@ -300,33 +304,37 @@ def _fresh_embedder(cfg: dict, vocab: Vocab, seed: int) -> SentenceEmbedder:
     return SentenceEmbedder(vocab, encoder, **embedder_fields)
 
 
-def _objective_manifest(tcfg: TrainConfig, label_map) -> dict:
-    if tcfg.objective == "classification":
-        return {
-            "objective": "classification",
-            "combine_mode": tcfg.combine_mode,
-            "label_map": label_map,
+def _scorer(task: str, path: str, cfg: dict):
+    """Read an sts, triplet or probe file once; returns a function from embedder to report."""
+    settings = cfg["eval"]
+    if task == "sts":
+        pairs = load_scored_pairs(path)
+        return lambda model: evaluate_similarity(model.embed, pairs, metric=settings["similarity"])
+    if task == "triplet":
+        triplets = load_triplets(path)
+        metric = settings["triplet_metric"]
+        return lambda model: {
+            "triplet_accuracy": triplet_accuracy(model.embed, triplets, metric=metric),
+            "n": len(triplets),
+            "metric": metric,
         }
-    if tcfg.objective == "regression":
-        return {
-            "objective": "regression",
-            "score_max": tcfg.score_max,
-            "target_scale": tcfg.target_scale,
-        }
-    return {"objective": "triplet", "margin": tcfg.margin}
+    records = load_labeled_texts(path)
+    label_map = build_label_map([r.label for r in records])
+    labels = [label_map[r.label] for r in records]
 
+    def probe(model):
+        features = model.embed([r.text for r in records])
+        result = probe_accuracy(features, labels, k=settings["folds"], seed=settings["seed"],
+                                steps=settings["probe_epochs"], lr=settings["probe_lr"], l2=settings["probe_l2"])
+        return {**result, "n": len(records), "n_classes": len(label_map)}
 
-_TRAIN_LOADERS = {
-    "classification": load_classification_pairs,
-    "regression": load_scored_pairs,
-    "triplet": load_triplets,
-}
+    return probe
 
 
 def cmd_train(args, cfg: dict) -> int:
     objective = cfg["train"]["objective"]
     train_path = _require(cfg, "data", "train", "to train on")
-    examples = _TRAIN_LOADERS[objective](train_path)
+    examples = OBJECTIVES[objective].reader(train_path)
 
     init_path = cfg["data"]["init_checkpoint"]
     if init_path:
@@ -335,23 +343,8 @@ def cmd_train(args, cfg: dict) -> int:
         texts = [text for ex in examples for text in example_texts(ex)]
         embedder = _fresh_embedder(cfg, _vocab(cfg, texts), cfg["train"]["seed"])
 
-    dev_eval = None
-    if cfg["data"]["dev"]:
-        metric = cfg["eval"]["similarity"]
-        if objective == "triplet":
-            dev_triplets = load_triplets(cfg["data"]["dev"])
-            tri_metric = cfg["eval"]["triplet_metric"]
-
-            def dev_eval(model):
-                acc = triplet_accuracy(model.embed, dev_triplets, metric=tri_metric)
-                return {"triplet_accuracy": acc, "n": len(dev_triplets)}
-
-        else:
-            dev_pairs = load_scored_pairs(cfg["data"]["dev"])
-
-            def dev_eval(model):
-                return evaluate_similarity(model.embed, dev_pairs, metric=metric)
-
+    dev_path = cfg["data"]["dev"]
+    dev_eval = _scorer("triplet" if objective == "triplet" else "sts", dev_path, cfg) if dev_path else None
     run_dir = _run_dir(args, cfg)
     tcfg = TrainConfig(**cfg["train"])
     ckpt_path = run_dir / "checkpoint.semb"
@@ -363,7 +356,10 @@ def cmd_train(args, cfg: dict) -> int:
 
         result = train(embedder, examples, tcfg, on_step=on_step, epoch_eval=dev_eval)
 
-    embedder.save(ckpt_path, objective=_objective_manifest(tcfg, result.label_map), steps=result.total_steps)
+    manifest = {"objective": objective, **{key: getattr(tcfg, key) for key in OBJECTIVES[objective].recorded}}
+    if result.label_map is not None:
+        manifest["label_map"] = result.label_map
+    embedder.save(ckpt_path, objective=manifest, steps=result.total_steps)
 
     dev_metrics = None
     for record in reversed(result.metrics):
@@ -408,18 +404,15 @@ def cmd_ablate(args, cfg: dict) -> int:
     for mode in modes:
         _validate_choice(mode, COMBINE_MODES, "--modes")
 
-    dev_path = _require(cfg, "data", "dev", "to score ablation cells")
-    dev_pairs = load_scored_pairs(dev_path)
-    metric = cfg["eval"]["similarity"]
+    score = _scorer("sts", _require(cfg, "data", "dev", "to score ablation cells"), cfg)
 
     # each block of the grid runs only when its training file is set:
     # data.train feeds the pooling x combine-mode classification cells,
     # data.regression_train feeds one regression cell per pooling
     training = {}  # objective -> (examples, vocab), both shared by every cell and seed
-    for objective, key, load in (("classification", "train", load_classification_pairs),
-                                 ("regression", "regression_train", load_scored_pairs)):
+    for objective, key in (("classification", "train"), ("regression", "regression_train")):
         if cfg["data"][key]:
-            examples = load(cfg["data"][key])
+            examples = OBJECTIVES[objective].reader(cfg["data"][key])
             training[objective] = examples, _vocab(cfg, [text for ex in examples for text in example_texts(ex)])
     if not training:
         raise CliError(EXIT_CONFIG, "ablate needs data.train or data.regression_train")
@@ -444,8 +437,7 @@ def cmd_ablate(args, cfg: dict) -> int:
             local["train"].update(objective=objective, seed=seed, combine_mode=mode or cfg["train"]["combine_mode"])
             embedder = _fresh_embedder(local, vocab, seed)
             train(embedder, examples, TrainConfig(**local["train"]))
-            report = evaluate_similarity(embedder.embed, dev_pairs, metric=metric)
-            return report["spearman"] * 100.0
+            return score(embedder)["spearman"] * 100.0
 
         try:
             summary = multi_seed_run(run_one, seeds)
@@ -456,7 +448,7 @@ def cmd_ablate(args, cfg: dict) -> int:
     results = [run_cell(cell) for cell in cells]
 
     run_dir = _run_dir(args, cfg)
-    report = {"seeds": seeds, "metric": metric, "cells": results}
+    report = {"seeds": seeds, "metric": cfg["eval"]["similarity"], "cells": results}
 
     _say(args, f"{'objective':<15} {'pooling':<8} {'mode':<14} spearman x100")
     for row in results:
@@ -503,41 +495,13 @@ def cmd_eval(args, cfg: dict) -> int:
     eval_path = _require(cfg, "data", "eval", "to evaluate on")
     task = args.task or _sniff_task(eval_path)
     embedder = SentenceEmbedder.load(ckpt)
-
-    if task == "sts":
-        pairs = load_scored_pairs(eval_path)
-        metric = cfg["eval"]["similarity"]
-        report = dict(evaluate_similarity(embedder.embed, pairs, metric=metric))
-        table = [("spearman", report["spearman"]), ("pearson", report["pearson"])]
-    elif task == "triplet":
-        triplets = load_triplets(eval_path)
-        metric = cfg["eval"]["triplet_metric"]
-        acc = triplet_accuracy(embedder.embed, triplets, metric=metric)
-        report = {"triplet_accuracy": acc, "n": len(triplets), "metric": metric}
-        table = [("triplet_accuracy", acc)]
-    else:
-        records = load_labeled_texts(eval_path)
-        label_map = build_label_map([r.label for r in records])
-        features = embedder.embed([r.text for r in records])
-        labels = [label_map[r.label] for r in records]
-        probe = probe_accuracy(
-            features,
-            labels,
-            k=cfg["eval"]["folds"],
-            seed=cfg["eval"]["seed"],
-            steps=cfg["eval"]["probe_epochs"],
-            lr=cfg["eval"]["probe_lr"],
-            l2=cfg["eval"]["probe_l2"],
-        )
-        report = {**probe, "n": len(records), "n_classes": len(label_map)}
-        table = [("probe_accuracy", probe["accuracy"])]
-        for warning in probe["warnings"]:
-            _say(args, f"warning: {warning}")
-
-    report["task"] = task
+    report = {**_scorer(task, eval_path, cfg)(embedder), "task": task}
     run_dir = _run_dir(args, cfg)
-    for name, value in table:
-        _say(args, f"{name:<18} {value * 100:.2f}")
+    for warning in report.get("warnings", []):
+        _say(args, f"warning: {warning}")
+    for name, value in report.items():
+        if isinstance(value, float):
+            _say(args, f"{name:<18} {value * 100:.2f}")
     return _finish(run_dir, report)
 
 
@@ -610,8 +574,8 @@ def cmd_bench(args, cfg: dict) -> int:
                    f"{naive['padded_token_count']} padded tokens")
         _say(args, f"throughput ratio {report['throughput_ratio']:.2f}")
     else:
-        smart = cfg["train"]["smart_batching"] if args.mode is None else args.mode == "smart"
-        report = bench_embedding(embedder, sentences, batch_size=batch_size, smart=smart, seed=seed)
+        report = bench_embedding(embedder, sentences, batch_size=batch_size,
+                                 smart=cfg["train"]["smart_batching"], seed=seed)
         _say(args, f"{report['mode']}: {report['sentences_per_second']:.1f} sent/s")
 
     return _finish(_run_dir(args, cfg), report)
@@ -696,8 +660,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("bench", help="throughput and padding benchmark")
     _add_common(p)
     p.add_argument("--paired", action="store_true", help="run smart and naive and report the ratio")
-    p.add_argument("--mode", choices=("smart", "naive"),
-                   help="batching to time; train.smart_batching decides when omitted")
 
     p = commands.add_parser("inspect", help="dump checkpoint metadata")
     p.add_argument("checkpoint", help="checkpoint file to inspect")

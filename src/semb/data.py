@@ -7,6 +7,7 @@ line number, so a bad record in a large file is findable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "load_triplets",
     "load_labeled_texts",
     "build_label_map",
+    "read_lines",
     "NLI_LABELS",
 ]
 
@@ -63,18 +65,31 @@ class LabeledText:
     label: str
 
 
+# errors="surrogateescape" reads a byte b that is not UTF-8 as the character U+DC00 + b
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path):
+    """Yield (line number, line) of a UTF-8 file; a byte that is not UTF-8 is a DataFormatError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = _NOT_UTF8.search(line)
+            if bad:
+                raise DataFormatError(path, lineno, f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8")
+            yield lineno, line
+
+
 def _iter_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(path, lineno, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataFormatError(path, lineno, "expected a JSON object")
-            yield lineno, obj
+    for lineno, raw in read_lines(path):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(path, lineno, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise DataFormatError(path, lineno, "expected a JSON object")
+        yield lineno, obj
 
 
 def _text_field(obj, key, path, lineno):

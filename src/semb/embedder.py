@@ -114,16 +114,12 @@ class SentenceEmbedder:
     @classmethod
     def load(cls, path) -> "SentenceEmbedder":
         manifest, params = load_checkpoint(path)
+        # the CRC covers only the tensor payload, so a manifest can parse and still be wrong
         try:
-            config = EncoderConfig.from_dict(manifest["config"])
+            encoder = Encoder(EncoderConfig.from_dict(manifest["config"]))
+            model = cls(Vocab(manifest["vocab"]), encoder, manifest["pooling"], manifest["include_special"])
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: manifest config rejected: {exc}") from None
-        vocab = Vocab(manifest["vocab"])
-        if vocab.size != config.vocab_size:
-            raise FormatError(
-                f"{path}: manifest vocabulary has {vocab.size} ids but config says {config.vocab_size}"
-            )
-        encoder = Encoder(config)
+            raise FormatError(f"{path}: manifest rejected: {exc}") from None
         expected = set(encoder.params)
         loaded = set(params)
         if expected != loaded:
@@ -136,4 +132,4 @@ class SentenceEmbedder:
                     f"{path}: parameter {name} has shape {params[name].shape}, expected {tensor_param.shape}"
                 )
             tensor_param.data[...] = params[name]
-        return cls(vocab, encoder, pooling=manifest["pooling"], include_special=manifest["include_special"])
+        return model

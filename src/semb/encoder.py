@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from . import tensor as T
-from .data import DataFormatError
+from .data import DataFormatError, read_lines
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -95,17 +95,16 @@ class Vocab:
     def from_file(cls, path) -> "Vocab":
         tokens = []
         seen = set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                token = raw.rstrip("\n")
-                if not token:
-                    raise DataFormatError(path, lineno, "empty vocabulary line")
-                if token != token.strip():
-                    raise DataFormatError(path, lineno, "token has surrounding whitespace")
-                if token in seen or token in _RESERVED:
-                    raise DataFormatError(path, lineno, f"duplicate or reserved token {token!r}")
-                seen.add(token)
-                tokens.append(token)
+        for lineno, raw in read_lines(path):
+            token = raw.rstrip("\n")
+            if not token:
+                raise DataFormatError(path, lineno, "empty vocabulary line")
+            if token != token.strip():
+                raise DataFormatError(path, lineno, "token has surrounding whitespace")
+            if token in seen or token in _RESERVED:
+                raise DataFormatError(path, lineno, f"duplicate or reserved token {token!r}")
+            seen.add(token)
+            tokens.append(token)
         return cls(tokens)
 
     def save(self, path):

@@ -32,6 +32,7 @@ from .binio import (
     pack_block,
     pack_u32,
     pack_u64,
+    write_atomic,
 )
 from .trainer import naive_batches, padded_token_count, smart_batches
 
@@ -147,8 +148,7 @@ class VectorStore:
         body += pack_u64(len(self._ids))
         body += pack_block("\n".join(self._ids).encode("utf-8"))
         body += np.ascontiguousarray(self.matrix, dtype="<f4").tobytes()
-        with open(path, "wb") as fh:
-            fh.write(finish_with_crc(bytes(body)))
+        write_atomic(path, finish_with_crc(bytes(body)))
 
     @classmethod
     def load(cls, path) -> "VectorStore":

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import data
 from . import tensor as T
 from .data import PairExample, ScoredPair, TripletExample, build_label_map
 from .objectives import (
@@ -24,6 +26,7 @@ from .tensor import Tensor
 
 __all__ = [
     "OBJECTIVES",
+    "Objective",
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
@@ -40,7 +43,20 @@ __all__ = [
     "multi_seed_run",
 ]
 
-OBJECTIVES = ("classification", "regression", "triplet")
+
+class Objective(NamedTuple):
+    """What one training objective needs from the rest of the program."""
+
+    example: type  # the example type `train` accepts
+    reader: Callable  # the `semb.data` reader of its training files
+    recorded: tuple[str, ...]  # the TrainConfig fields its checkpoint manifest records
+
+
+OBJECTIVES = {
+    "classification": Objective(PairExample, data.load_classification_pairs, ("combine_mode",)),
+    "regression": Objective(ScoredPair, data.load_scored_pairs, ("score_max", "target_scale")),
+    "triplet": Objective(TripletExample, data.load_triplets, ("margin",)),
+}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -230,17 +246,18 @@ def example_texts(example):
     return (example.a, example.b)
 
 
-def _check_examples(examples, objective):
-    wanted = {
-        "classification": PairExample,
-        "regression": ScoredPair,
-        "triplet": TripletExample,
-    }[objective]
-    for ex in examples:
-        if not isinstance(ex, wanted):
-            raise TypeError(
-                f"objective {objective!r} expects {wanted.__name__} examples, got {type(ex).__name__}"
-            )
+def _head(embedder, examples, cfg: TrainConfig):
+    """The objective's loss module, each example's target (None for triplets) and the label map."""
+    if cfg.objective == "classification":
+        label_map = build_label_map(ex.label for ex in examples)
+        head = ClassificationObjective(
+            embedder.dim, len(label_map), mode=cfg.combine_mode, seed=cfg.seed, dtype=embedder.encoder.dtype
+        )
+        return head, np.array([label_map[ex.label] for ex in examples]), label_map
+    if cfg.objective == "regression":
+        targets = normalize_targets([ex.score for ex in examples], cfg.score_max, cfg.target_scale)
+        return RegressionObjective(), targets, None
+    return TripletObjective(margin=cfg.margin), None, None
 
 
 def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -> TrainResult:
@@ -254,21 +271,12 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
     examples = list(examples)
     if not examples:
         raise ValueError("no training examples")
-    _check_examples(examples, cfg.objective)
-    encoder = embedder.encoder
-
-    label_map = None
-    if cfg.objective == "classification":
-        label_map = build_label_map(ex.label for ex in examples)
-        objective = ClassificationObjective(
-            embedder.dim, len(label_map), mode=cfg.combine_mode, seed=cfg.seed, dtype=encoder.dtype
-        )
-    elif cfg.objective == "regression":
-        objective = RegressionObjective()
-    else:
-        objective = TripletObjective(margin=cfg.margin)
-
-    params = {**encoder.params, **objective.parameters()}
+    wanted = OBJECTIVES[cfg.objective].example
+    for ex in examples:
+        if not isinstance(ex, wanted):
+            raise TypeError(f"objective {cfg.objective!r} expects {wanted.__name__} examples, got {type(ex).__name__}")
+    objective, targets, label_map = _head(embedder, examples, cfg)
+    params = {**embedder.encoder.params, **objective.parameters()}
     adam = Adam(params)
 
     # every text is tokenized once; the length plan and each step's forward reuse its ids
@@ -276,9 +284,6 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
     lengths = [max(len(ids) for ids in example_rows) for example_rows in rows]
     batches_per_epoch = math.ceil(len(examples) / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
-
-    if cfg.objective == "regression":
-        targets_all = normalize_targets([ex.score for ex in examples], cfg.score_max, cfg.target_scale)
 
     metrics = []
     step = 0
@@ -288,22 +293,16 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
         else:
             epoch_batches = naive_batches(len(examples), cfg.batch_size)
         for batch_no, idx in enumerate(epoch_batches):
-            batch = [examples[i] for i in idx]
             lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_frac, cfg.constant_after_warmup)
 
             towers = len(rows[idx[0]])
             batch_rows = [rows[i][position] for position in range(towers) for i in idx]
             pooled = embedder.forward(*embedder.pad(batch_rows), train=True)
-            b = len(batch)
+            b = len(idx)
             parts = [T.slice_rows(pooled, k * b, (k + 1) * b) for k in range(towers)]
-
-            if cfg.objective == "classification":
-                labels = np.array([label_map[ex.label] for ex in batch])
-                loss = objective.loss(parts[0], parts[1], labels)
-            elif cfg.objective == "regression":
-                loss = objective.loss(parts[0], parts[1], targets_all[idx])
-            else:
-                loss = objective.loss(parts[0], parts[1], parts[2])
+            if targets is not None:
+                parts.append(targets[idx])
+            loss = objective.loss(*parts)
 
             loss_value = loss.item()
             if not math.isfinite(loss_value):

@@ -164,6 +164,17 @@ def test_wrong_offset_in_manifest_rejected(tmp_path):
     assert "offset" in str(err.value)
 
 
+def test_a_save_that_cannot_serialize_its_manifest_keeps_the_last_good_file(tmp_path):
+    path = tmp_path / "model.semb"
+    emb = small_embedder()
+    emb.save(path, objective={"margin": 1.0})
+    good = path.read_bytes()
+    with pytest.raises(TypeError):  # json cannot write a numpy scalar
+        emb.save(path, objective={"margin": np.float32(1.0)})
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["model.semb"]
+
+
 def test_embedder_load_rejects_param_set_mismatch(tmp_path):
     emb = small_embedder()
     path = tmp_path / "model.semb"

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import filecmp
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semb import synth
+from semb import cli, synth
 from semb.checkpoint import load_checkpoint, save_checkpoint
 from semb.cli import main
+from semb.embedder import SentenceEmbedder
 from semb.search import VectorStore
 
 TINY = [
@@ -427,8 +433,7 @@ def test_bench_paired_reports_both_modes_and_ratio(workspace, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags, mode",
-    [([], "cpu_smart"), (["--train.smart_batching", "false"], "cpu_naive"),
-     (["--train.smart_batching", "false", "--mode", "smart"], "cpu_smart")],
+    [([], "cpu_smart"), (["--train.smart_batching", "false"], "cpu_naive")],
 )
 def test_bench_mode_follows_smart_batching_unless_given(workspace, capsys, flags, mode):
     code, out, _ = run_cli(
@@ -633,3 +638,179 @@ def test_every_run_writes_its_config_and_a_report_equal_to_stdout(
     given = {flag[len("--data."):]: value for flag, value in zip(argv, argv[1:]) if flag.startswith("--data.")}
     assert {key: effective["data"][key] for key in given} == given
     assert set(effective) == {"encoder", "train", "eval", "data"}
+
+
+@pytest.mark.parametrize("objective, train_file, dev_file",
+                         [("regression", "train.jsonl", "dev.jsonl"), ("triplet", "tri.jsonl", "tri.jsonl")])
+def test_train_dev_record_equals_the_eval_report_on_the_same_file(
+    workspace, capsys, tmp_path, objective, train_file, dev_file
+):
+    dev = str(workspace / dev_file)
+    code, out, _ = run_cli(
+        capsys,
+        ["train", "--objective", objective, "--data.train", str(workspace / train_file), "--data.dev", dev,
+         "--runs-root", str(tmp_path), "--name", "train", "--quiet"] + TINY,
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys,
+        ["eval", "--data.checkpoint", json.loads(out)["checkpoint"], "--data.eval", dev,
+         "--runs-root", str(tmp_path), "--name", "eval", "--quiet"],
+    )
+    assert code == 0
+    records = [json.loads(line) for line in (tmp_path / "train" / "metrics.jsonl").read_text().splitlines()]
+    dev_record = next(r for r in reversed(records) if "epoch" in r)
+    del dev_record["epoch"]
+    report = json.loads(out)
+    del report["task"]
+    assert dev_record == report
+
+
+@pytest.mark.parametrize("objective, train_file, keys", [
+    ("classification", "nli.jsonl", ["objective", "combine_mode", "label_map"]),
+    ("regression", "train.jsonl", ["objective", "score_max", "target_scale"]),
+    ("triplet", "tri.jsonl", ["objective", "margin"]),
+])
+def test_checkpoint_manifest_records_the_objectives_fields_in_order(
+    workspace, capsys, tmp_path, objective, train_file, keys
+):
+    code, _, _ = run_cli(
+        capsys,
+        ["train", "--objective", objective, "--data.train", str(workspace / train_file),
+         "--runs-root", str(tmp_path), "--name", "run", "--quiet"] + TINY,
+    )
+    assert code == 0
+    manifest, _ = load_checkpoint(tmp_path / "run" / "checkpoint.semb")
+    assert list(manifest["objective"]) == keys  # the manifest JSON keeps this order on disk
+
+
+# each input, read by a command that needs it, and the exit code a byte that is not UTF-8 in it gives
+_UTF8_READERS = {
+    "train": ("train", ["--data.train", "{bad}"], 3),
+    "vocab": ("train", ["--data.train", "{train}", "--data.vocab", "{bad}"], 3),
+    "eval": ("eval", ["--data.checkpoint", "{checkpoint}", "--data.eval", "{bad}"], 3),
+    "corpus": ("bench", ["--data.corpus", "{bad}"], 3),
+    "config": ("train", ["--data.train", "{train}", "--config", "{bad}"], 2),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_UTF8_READERS))
+def test_input_that_is_not_utf8_exits_naming_the_file(workspace, trained_run, capsys, tmp_path, field):
+    command, template, exit_code = _UTF8_READERS[field]
+    good = {
+        "train": '{"a": "red fish", "b": "blue fish", "score": 3}\n',
+        "vocab": "red\nfish\n",
+        "eval": '{"a": "red fish", "b": "blue fish", "score": 3}\n',
+        "corpus": "red fish\n",
+        "config": '{"train": {"epochs": 1}}\n',
+    }[field].encode("utf-8")
+    bad = tmp_path / f"bad-{field}"
+    bad.write_bytes(good + b"caf\xe9 \xff\n")  # Latin-1, not UTF-8
+    paths = {"bad": bad, "train": workspace / "train.jsonl", "checkpoint": trained_run / "checkpoint.semb"}
+    argv = [command, "--runs-root", str(tmp_path / "runs"), "--quiet"] + TINY
+    argv += [arg.format(**paths) for arg in template]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == exit_code
+    assert str(bad) in json.loads(out)["error"]["message"]
+
+
+def _fail_replace(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+def _save_store(path):
+    store = VectorStore(2)
+    store.add("x", np.ones(2))
+    store.save(path)
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "store", "json"])
+def test_a_failed_save_leaves_the_old_file_and_no_temp_file(trained_run, tmp_path, monkeypatch, artifact):
+    target = tmp_path / f"out.{artifact}"
+    old = b"the last good file"
+    target.write_bytes(old)
+    save = {
+        "checkpoint": lambda: SentenceEmbedder.load(trained_run / "checkpoint.semb").save(target),
+        "store": lambda: _save_store(target),
+        "json": lambda: cli._write_json(target, {"report": 1}),
+    }[artifact]
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError) as err:
+        save()
+    assert err.value.filename == str(target)
+    assert target.read_bytes() == old
+    assert os.listdir(tmp_path) == [target.name]
+
+
+# the smallest model the CLI trains: its checkpoint is about 2 KB, two thirds of it manifest
+TINIEST = [
+    "--encoder.dim", "4", "--encoder.n_layers", "1", "--encoder.n_heads", "1",
+    "--encoder.ffn_dim", "4", "--encoder.max_seq_len", "4",
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_artifacts(tmp_path_factory):
+    """A checkpoint and a two-row store, both written by the CLI."""
+    root = tmp_path_factory.mktemp("tiny")
+    write_jsonl(root / "pairs.jsonl", [{"a": "a", "b": "b", "score": 1.0}])
+    (root / "corpus.txt").write_text("a\nb\n", encoding="utf-8")
+    common = ["--runs-root", str(root / "runs"), "--name", "tiny", "--quiet"]
+    assert main(["train", "--data.train", str(root / "pairs.jsonl")] + TINIEST + common) == 0
+    ckpt = root / "runs" / "tiny" / "checkpoint.semb"
+    assert main(["embed", "--data.checkpoint", str(ckpt), "--data.corpus", str(root / "corpus.txt")] + common) == 0
+    return root, {"semb": ckpt.read_bytes(), "semv": (root / "runs" / "tiny" / "vectors.semv").read_bytes()}
+
+
+def exit_code_on(root, kind, blob):
+    """The exit code of a command that loads `blob` as a checkpoint (embed) or a store (search)."""
+    path = root / f"damaged.{kind}"
+    path.write_bytes(blob)
+    if kind == "semb":
+        argv = ["embed", "--data.checkpoint", str(path), "--data.corpus", str(root / "corpus.txt"),
+                "--runs-root", str(root / "runs"), "--name", "damaged"]
+    else:
+        argv = ["search", "--store", str(path), "--pair"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv + ["--quiet"])
+
+
+def flip(blob, bit):
+    damaged = bytearray(blob)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+@pytest.mark.parametrize("kind", ["semb", "semv"])
+def test_every_truncation_of_an_artifact_exits_3(tiny_artifacts, kind):
+    root, blobs = tiny_artifacts
+    blob = blobs[kind]
+    assert exit_code_on(root, kind, blob) == 0
+    codes = {size: exit_code_on(root, kind, blob[:size]) for size in range(len(blob))}
+    assert {size: code for size, code in codes.items() if code != 3} == {}
+
+
+def test_every_bit_flip_of_a_store_exits_3(tiny_artifacts):
+    root, blobs = tiny_artifacts
+    blob = blobs["semv"]  # its CRC covers everything before it
+    codes = {bit: exit_code_on(root, "semv", flip(blob, bit)) for bit in range(8 * len(blob))}
+    assert {bit: code for bit, code in codes.items() if code != 3} == {}
+
+
+def test_every_bit_flip_of_the_checkpoint_manifest_values_exits_3_or_loads(tiny_artifacts):
+    # the CRC covers the tensor payload only, so a flipped manifest bit can
+    # leave a checkpoint that loads; it must never crash with exit 1
+    root, blobs = tiny_artifacts
+    blob = blobs["semb"]
+    start = blob.index(b'"pooling"')
+    end = blob.index(b'"objective"')  # pooling, include_special and the vocabulary
+    codes = {bit: exit_code_on(root, "semb", flip(blob, bit)) for bit in range(8 * start, 8 * end)}
+    assert {bit: code for bit, code in codes.items() if code not in (0, 3)} == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(position=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_bit_flip_anywhere_in_a_checkpoint_exits_3_or_loads(tiny_artifacts, position):
+    root, blobs = tiny_artifacts
+    blob = blobs["semb"]
+    assert exit_code_on(root, "semb", flip(blob, int(position * 8 * len(blob)))) in (0, 3)
