@@ -76,6 +76,11 @@ def save_checkpoint(
     )
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (manifest, params) with float32 arrays.
 
@@ -90,22 +95,37 @@ def load_checkpoint(path):
         manifest = json.loads(reader.block().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     for key in ("config", "pooling", "include_special", "vocab", "objective", "steps", "params"):
         if key not in manifest:
             raise FormatError(f"{path}: manifest missing key {key!r}")
+    if not isinstance(manifest["config"], dict):
+        raise FormatError(f"{path}: manifest config is not a JSON object")
+    if not _is_int(manifest["steps"]) or manifest["steps"] < 0:
+        raise FormatError(f"{path}: manifest steps {manifest['steps']!r} is not a non-negative integer")
+    if not isinstance(manifest["params"], list):
+        raise FormatError(f"{path}: manifest params is not a list")
 
     payload_start = reader.pos
     params = {}
     for entry in manifest["params"]:
-        if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= set(entry):
+        if (
+            not isinstance(entry, dict)
+            or not {"name", "shape", "offset"} <= set(entry)
+            or not isinstance(entry["name"], str)
+            or not isinstance(entry["shape"], list)
+            or not all(_is_int(s) and s >= 0 for s in entry["shape"])
+            or not _is_int(entry["offset"])
+        ):
             raise FormatError(f"{path}: malformed parameter entry {entry!r}")
         actual_offset = reader.pos - payload_start
-        if int(entry["offset"]) != actual_offset:
+        if entry["offset"] != actual_offset:
             raise FormatError(
                 f"{path}: parameter {entry['name']!r} declares offset {entry['offset']}"
                 f" but its data starts at {actual_offset}"
             )
-        shape = tuple(int(s) for s in entry["shape"])
+        shape = tuple(entry["shape"])
         params[entry["name"]] = reader.f32_array(math.prod(shape)).reshape(shape)
     reader.verify_crc_trailer(start=payload_start)
     return manifest, params

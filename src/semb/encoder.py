@@ -202,9 +202,6 @@ class Encoder:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def _const(self, arr) -> Tensor:
-        return Tensor(np.ascontiguousarray(arr, dtype=self.dtype))
-
     def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
         if train and self.config.dropout > 0.0:
             return T.dropout(x, self.config.dropout, self._drop_rng)
@@ -232,40 +229,26 @@ class Encoder:
         h = T.layer_norm(h, self.params["emb_ln.gain"], self.params["emb_ln.bias"])
         h = self._maybe_dropout(h, train)
 
-        H = c.n_heads
-        dh = c.dim // H
         # key visibility, shared by every layer and head: -1e9 on padding
         # keys swamps any score, so their softmax weight (and gradient) is 0
         fill = (1.0 - mask)[:, None, None, :] * -1e9
-        fill_t = self._const(np.broadcast_to(fill, (B, H, L, L)).reshape(B * H, L, L))
-
         for i in range(c.n_layers):
-            h = self._block(i, h, fill_t, B, L, H, dh, train)
+            h = self._block(i, h, fill, train)
         return h
 
-    def _block(self, i, h, fill_t, B, L, H, dh, train):
+    def _block(self, i, h, fill, train):
         p = self.params
         c = self.config
+        B, L, _ = h.shape
         pre = f"layers.{i}."
 
-        def proj(flat, which):
-            return T.linear(flat, p[pre + "attn.w" + which], p[pre + "attn.b" + which])
-
-        def split_heads(x):
-            return T.reshape(T.transpose(T.reshape(x, (B, L, H, dh)), (0, 2, 1, 3)), (B * H, L, dh))
-
+        # one GEMM projects queries, keys and values; the three stay separate parameters
         flat = T.reshape(h, (B * L, c.dim))
-        q = split_heads(proj(flat, "q"))
-        k = split_heads(proj(flat, "k"))
-        v = split_heads(proj(flat, "v"))
-
-        scores = T.mul_scalar(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        scores = T.add(scores, fill_t)
-        weights = T.softmax(scores)
-        ctx = T.matmul(weights, v)
-
-        merged = T.reshape(T.transpose(T.reshape(ctx, (B, H, L, dh)), (0, 2, 1, 3)), (B * L, c.dim))
-        attn_out = T.reshape(T.linear(merged, p[pre + "attn.wo"], p[pre + "attn.bo"]), (B, L, c.dim))
+        w_qkv = T.concat([p[pre + "attn.w" + which] for which in "qkv"], axis=1)
+        b_qkv = T.concat([p[pre + "attn.b" + which] for which in "qkv"], axis=0)
+        qkv = T.reshape(T.linear(flat, w_qkv, b_qkv), (B, L, 3 * c.dim))
+        ctx = T.reshape(T.attention(qkv, fill, c.n_heads), (B * L, c.dim))
+        attn_out = T.reshape(T.linear(ctx, p[pre + "attn.wo"], p[pre + "attn.bo"]), (B, L, c.dim))
         attn_out = self._maybe_dropout(attn_out, train)
         h = T.layer_norm(T.add(h, attn_out), p[pre + "ln1.gain"], p[pre + "ln1.bias"])
 
@@ -274,4 +257,3 @@ class Encoder:
         ffn_out = T.reshape(T.linear(inner, p[pre + "ffn.w2"], p[pre + "ffn.b2"]), (B, L, c.dim))
         ffn_out = self._maybe_dropout(ffn_out, train)
         return T.layer_norm(T.add(h, ffn_out), p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-

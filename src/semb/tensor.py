@@ -7,12 +7,15 @@ sums and means accumulate in float64 and round back to it.
 
 Ops record a graph for `Tensor.backward`: each output keeps its parents
 and a backward rule `backward(g)` that takes the output's gradient as an
-argument and adds its share into the parents' buffers. No rule refers to
-its own output, so a graph holds no reference cycle, and reference
-counting frees it as soon as the caller drops the loss. Inside
-`no_grad()` ops record no graph: each returns a bare tensor, so an
-inference pass keeps no activation alive once its consumer is done with
-it.
+argument and hands each parent its share. An interior node's gradient
+appears on first touch: the first share becomes its `grad` (copied when
+it is `g` or a view of it), and later shares are added to it. A leaf
+built with `requires_grad` keeps its zero buffer and accumulates into it.
+No rule refers to its own output, so a graph holds no reference cycle,
+and reference counting frees it as soon as the caller drops the loss.
+Inside `no_grad()` ops record no graph: each returns a bare tensor, so
+an inference pass keeps no activation alive once its consumer is done
+with it.
 
 Broadcasting is deliberately restricted: binary elementwise ops require
 identical shapes, with explicit scalar variants (`add_scalar`,
@@ -52,6 +55,7 @@ __all__ = [
     "tmean",
     "max_over_axis",
     "softmax",
+    "attention",
     "cross_entropy",
     "layer_norm",
     "gelu",
@@ -94,11 +98,12 @@ class Tensor:
 
     Tensors are immutable once created, except for in-place parameter
     updates applied by an optimizer between training steps. `grad` has
-    the same shape as `data`. A leaf built with `requires_grad` has it
-    from construction; a tensor an op returns has none until `backward()`
-    reaches it, so a forward pass that is never differentiated allocates
-    no gradient memory. Once present, `grad` accumulates across backward
-    calls until `zero_grad`.
+    the same shape as `data`. A leaf built with `requires_grad` has a zero
+    buffer from construction; a tensor an op returns has none until a
+    backward rule first hands it a gradient, which then becomes its
+    `grad` without a zero fill. So a forward pass that is never
+    differentiated allocates no gradient memory. Once present, `grad`
+    accumulates across backward calls until `zero_grad`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -139,25 +144,22 @@ class Tensor:
     def backward(self):
         """Backpropagate from a scalar loss into every reachable gradient buffer.
 
-        Every reachable tensor with `requires_grad` and no `grad` yet
-        first gets a zero buffer; then each node's backward rule runs
-        exactly once, consumers before producers, as
-        `node._backward(node.grad)`, deterministically for a fixed graph.
-        Leaves that do not feed the loss keep their (zero-initialized)
-        gradient untouched. The graph is freed by reference counting
-        once the caller drops the loss.
+        Each node's backward rule runs exactly once, consumers before
+        producers, as `node._backward(node.grad)`, deterministically for
+        a fixed graph. Interior nodes get their `grad` on first touch, as
+        the module docstring describes; a node no share reached has a
+        zero gradient, so its rule is skipped. Leaves that do not feed
+        the loss keep their (zero-initialized) gradient untouched. The
+        graph is freed by reference counting once the caller drops the
+        loss.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward called on a tensor that does not require grad")
-        order = _topo_order(self)
-        for node in order:
-            if node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad += np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
+        _give(self, np.ones_like(self.data))
+        for node in reversed(_topo_order(self)):
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
     def __repr__(self):
@@ -217,6 +219,30 @@ def _result(data, parents, op, backward_fn):
     return out
 
 
+def _give(t, g):
+    """Hand `t` a fresh gradient array the rule owns: it becomes `t.grad` on first touch."""
+    if t.grad is None and isinstance(g, np.ndarray) and g.shape == t.data.shape and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        _pass(t, g)
+
+
+def _pass(t, g):
+    """Hand `t` a gradient it must not keep (the rule's `g` or a view of it), or one to broadcast."""
+    if t.grad is None:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
+
+
+def _zeroed(t):
+    """`t.grad`, zero-filled on first touch, for rules that write into a slice of it."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
 def _check_same_shape(a, b, op):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
@@ -239,9 +265,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g
+            _pass(a, g)
         if b.requires_grad:
-            b.grad += g
+            _pass(b, g)
 
     return _result(out_data, (a, b), "add", backward)
 
@@ -252,9 +278,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g
+            _pass(a, g)
         if b.requires_grad:
-            b.grad -= g
+            _give(b, -g)
 
     return _result(out_data, (a, b), "sub", backward)
 
@@ -265,9 +291,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * b.data
+            _give(a, g * b.data)
         if b.requires_grad:
-            b.grad += g * a.data
+            _give(b, g * a.data)
 
     return _result(out_data, (a, b), "mul", backward)
 
@@ -278,9 +304,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g / b.data
+            _give(a, g / b.data)
         if b.requires_grad:
-            b.grad -= g * a.data / (b.data * b.data)
+            _give(b, -(g * a.data / (b.data * b.data)))
 
     return _result(out_data, (a, b), "div", backward)
 
@@ -290,7 +316,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g
+            _pass(a, g)
 
     return _result(out_data, (a,), "add_scalar", backward)
 
@@ -301,7 +327,7 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * c
+            _give(a, g * c)
 
     return _result(out_data, (a,), "mul_scalar", backward)
 
@@ -314,9 +340,9 @@ def abs_diff(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * sign
+            _give(a, g * sign)
         if b.requires_grad:
-            b.grad -= g * sign
+            _give(b, -(g * sign))
 
     return _result(np.abs(diff), (a, b), "abs_diff", backward)
 
@@ -342,9 +368,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _give(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            b.grad += np.matmul(np.swapaxes(a.data, -1, -2), g)
+            _give(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _result(out_data, (a, b), "matmul", backward)
 
@@ -360,9 +386,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g
+            _pass(x, g)
         if b.requires_grad:
-            b.grad += np.sum(g, axis=lead_axes, dtype=np.float64).astype(b.data.dtype)
+            _give(b, np.sum(g, axis=lead_axes, dtype=np.float64).astype(b.data.dtype))
 
     return _result(out_data, (x, b), "add_bias", backward)
 
@@ -380,11 +406,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += np.matmul(g, w.data.T)
+            _give(x, np.matmul(g, w.data.T))
         if w.requires_grad:
-            w.grad += np.matmul(x.data.T, g)
+            _give(w, np.matmul(x.data.T, g))
         if b.requires_grad:
-            b.grad += np.sum(g, axis=0, dtype=np.float64).astype(b.data.dtype)
+            _give(b, np.sum(g, axis=0, dtype=np.float64).astype(b.data.dtype))
 
     return _result(out_data, (x, w, b), "linear", backward)
 
@@ -401,7 +427,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         if table.requires_grad:
             width = table.data.shape[1]
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, width))
+            np.add.at(_zeroed(table), ids.reshape(-1), g.reshape(-1, width))
 
     return _result(out_data, (table,), "embedding", backward)
 
@@ -412,7 +438,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g.reshape(in_shape)
+            _pass(x, g.reshape(in_shape))
 
     return _result(out_data, (x,), "reshape", backward)
 
@@ -424,7 +450,7 @@ def transpose(x: Tensor, axes) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += np.transpose(g, inverse)
+            _pass(x, np.transpose(g, inverse))
 
     return _result(out_data, (x,), "transpose", backward)
 
@@ -442,7 +468,7 @@ def concat(parts, axis: int) -> Tensor:
             if part.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
-                part.grad += g[tuple(index)]
+                _pass(part, g[tuple(index)])
 
     return _result(out_data, parts, "concat", backward)
 
@@ -452,7 +478,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad[start:stop] += g
+            _zeroed(x)[start:stop] += g
 
     return _result(out_data, (x,), "slice_rows", backward)
 
@@ -465,7 +491,7 @@ def select_index(x: Tensor, axis: int, index: int) -> Tensor:
         if x.requires_grad:
             slicer = [slice(None)] * x.data.ndim
             slicer[axis] = index
-            x.grad[tuple(slicer)] += g
+            _zeroed(x)[tuple(slicer)] += g
 
     return _result(out_data, (x,), "select_index", backward)
 
@@ -479,10 +505,7 @@ def tsum(x: Tensor, axis=None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            if axis is None:
-                x.grad += g
-            else:
-                x.grad += np.expand_dims(g, axis)
+            _pass(x, g if axis is None else np.expand_dims(g, axis))
 
     return _result(out_data, (x,), "sum", backward)
 
@@ -496,10 +519,7 @@ def tmean(x: Tensor, axis=None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            if axis is None:
-                x.grad += g * inv
-            else:
-                x.grad += np.expand_dims(g, axis) * inv
+            _give(x, (g if axis is None else np.expand_dims(g, axis)) * inv)
 
     return _result(out_data, (x,), "mean", backward)
 
@@ -515,7 +535,7 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
         if x.requires_grad:
             mask = np.zeros_like(x.data)
             np.put_along_axis(mask, np.expand_dims(argmax, axis), 1.0, axis=axis)
-            x.grad += mask * np.expand_dims(g, axis)
+            _give(x, mask * np.expand_dims(g, axis))
 
     return _result(out_data, (x,), "max_over_axis", backward)
 
@@ -524,24 +544,83 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 # nonlinear ops
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, with max-subtraction for stability.
+def _softmax_rows(x):
+    """Softmax over the last axis of array `x`, as a new array.
 
-    Exponentials are taken in the storage dtype; each row's normalizer
-    is summed in float64.
+    Max-subtracted for stability; exponentials are taken in the storage
+    dtype, and each row's normalizer is summed in float64.
     """
-    y = x.data - np.max(x.data, axis=-1, keepdims=True)
+    y = x - np.max(x, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+    return y
+
+
+def _softmax_grad(g, y):
+    """The gradient at a softmax's input, from `g` at its output `y`, as a new array."""
+    inner = np.sum(g * y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+    gx = g - inner
+    gx *= y
+    return gx
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis (the arithmetic of `_softmax_rows`)."""
+    y = _softmax_rows(x.data)
 
     def backward(g):
         if x.requires_grad:
-            inner = np.sum(g * y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
-            gx = g - inner
-            gx *= y
-            x.grad += gx
+            _give(x, _softmax_grad(g, y))
 
     return _result(y, (x,), "softmax", backward)
+
+
+def attention(qkv: Tensor, fill, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    `qkv` is (B, L, 3 * dim): the query, key and value projections side
+    by side, each split into `heads` heads of width dim // heads. `fill`
+    is a constant additive key mask of shape (B, 1, 1, L): 0 where a key
+    is visible, a large negative number where it is not. Scores are
+    scaled by 1 / sqrt(dim // heads), then masked, then normalized as in
+    `softmax`; the heads' contexts come back merged as (B, L, dim). The
+    forward has the same bits as the chain of `reshape`, `transpose`,
+    `matmul`, `mul_scalar`, `add` and `softmax` ops it stands for.
+    """
+    if qkv.data.ndim != 3 or qkv.data.shape[2] % 3 != 0:
+        raise ShapeError(f"attention: qkv must be (B, L, 3 * dim), got {qkv.data.shape}")
+    B, L, width = qkv.data.shape
+    dim = width // 3
+    if heads < 1 or dim % heads != 0:
+        raise ShapeError(f"attention: {heads} heads do not divide dim {dim}")
+    dtype = qkv.data.dtype
+    fill = np.asarray(fill, dtype=dtype)
+    if fill.shape != (B, 1, 1, L):
+        raise ShapeError(f"attention: fill must be {(B, 1, 1, L)}, got {fill.shape}")
+    dh = dim // heads
+    scale = dtype.type(1.0 / np.sqrt(dh))
+    # (B, L, 3, heads, dh) -> contiguous (B, heads, L, dh) queries, keys and values
+    q, k, v = (np.ascontiguousarray(part.transpose(0, 2, 1, 3))
+               for part in np.moveaxis(qkv.data.reshape(B, L, 3, heads, dh), 2, 0))
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= scale
+    scores += fill
+    weights = _softmax_rows(scores)
+    out_data = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(B, L, dim)
+
+    def backward(g):
+        if qkv.requires_grad:
+            g_ctx = g.reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+            g_scores = _softmax_grad(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), weights)
+            g_scores *= scale
+            g_qkv = np.empty((B, L, 3, heads, dh), dtype)
+            g_qkv[:, :, 0] = np.matmul(g_scores, k).transpose(0, 2, 1, 3)
+            # keys as (q^T g)^T, the product the unfused chain's `matmul` rule forms
+            g_qkv[:, :, 1] = np.matmul(np.swapaxes(q, -1, -2), g_scores).transpose(0, 3, 1, 2)
+            g_qkv[:, :, 2] = np.matmul(np.swapaxes(weights, -1, -2), g_ctx).transpose(0, 2, 1, 3)
+            _give(qkv, g_qkv.reshape(B, L, width))
+
+    return _result(out_data, (qkv,), "attention", backward)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -568,7 +647,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         if logits.requires_grad:
             delta = probs.copy()
             delta[np.arange(rows), labels] -= 1.0
-            logits.grad += (delta * g[:, None]).astype(logits.data.dtype)
+            _give(logits, (delta * g[:, None]).astype(logits.data.dtype))
 
     return _result(losses, (logits,), "cross_entropy", backward)
 
@@ -594,9 +673,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            gain.grad += np.sum(g * xhat, axis=lead, dtype=np.float64).astype(dtype)
+            _give(gain, np.sum(g * xhat, axis=lead, dtype=np.float64).astype(dtype))
         if bias.requires_grad:
-            bias.grad += np.sum(g, axis=lead, dtype=np.float64).astype(dtype)
+            _give(bias, np.sum(g, axis=lead, dtype=np.float64).astype(dtype))
         if x.requires_grad:
             gx = g * gain.data
             mean_gx = np.mean(gx, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
@@ -604,7 +683,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gx -= mean_gx
             gx -= xhat * mean_gx_xhat
             gx *= inv_std
-            x.grad += gx
+            _give(x, gx)
 
     return _result(out_data, (x, gain, bias), "layer_norm", backward)
 
@@ -624,7 +703,7 @@ def gelu(x: Tensor) -> Tensor:
         if x.requires_grad:
             sech2 = 1.0 - t * t
             local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-            x.grad += (g * local).astype(xd.dtype)
+            _give(x, (g * local).astype(xd.dtype))
 
     return _result(out_data, (x,), "gelu", backward)
 
@@ -635,7 +714,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g * mask
+            _give(x, g * mask)
 
     return _result(np.where(mask, x.data, x.data.dtype.type(0)), (x,), "relu", backward)
 
@@ -646,7 +725,7 @@ def sqrt(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             # clamp keeps the subgradient finite if an input sits exactly at 0
-            x.grad += g * (0.5 / np.maximum(out_data, 1e-12))
+            _give(x, g * (0.5 / np.maximum(out_data, 1e-12)))
 
     return _result(out_data, (x,), "sqrt", backward)
 
@@ -662,7 +741,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.grad += g * keep * scale
+            _give(x, g * keep * scale)
 
     return _result(x.data * keep * scale, (x,), "dropout", backward)
 

@@ -115,7 +115,14 @@ class TrainResult:
 
 
 class Adam:
-    """Adam with bias correction; moments live beside the parameters."""
+    """Adam with bias correction over one flat buffer of every parameter.
+
+    At construction each parameter's `data` and current `grad` are
+    copied, in order, into one contiguous array each (`data`, `grad`),
+    and the parameter keeps reshaped views of them. A step is then one
+    vectorized update, and zeroing or clipping every gradient is one
+    pass over `grad`. All parameters must share one dtype.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = dict(params)
@@ -123,22 +130,35 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        tensors = list(self.params.values())
+        dtypes = {p.data.dtype for p in tensors}
+        if len(dtypes) != 1:
+            raise TypeError(f"Adam: parameters must share one dtype, got {sorted(d.name for d in dtypes)}")
+        total = sum(p.data.size for p in tensors)
+        self.data = np.empty(total, dtypes.pop())
+        self.grad = np.zeros_like(self.data)
+        start = 0
+        for p in tensors:
+            stop = start + p.data.size
+            self.data[start:stop] = p.data.reshape(-1)
+            if p.grad is not None:
+                self.grad[start:stop] = p.grad.reshape(-1)
+            p.data = self.data[start:stop].reshape(p.data.shape)
+            p.grad = self.grad[start:stop].reshape(p.data.shape)
+            start = stop
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self, lr: float):
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= (lr / c1) * m / (np.sqrt(v / c2) + self.eps)
+        g = self.grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.data -= (lr / c1) * self.m / (np.sqrt(self.v / c2) + self.eps)
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_frac: float, constant_after_warmup: bool = False) -> float:
@@ -161,16 +181,12 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_frac: float, const
     return base_lr * (total_steps - step) / (total_steps - warmup)
 
 
-def clip_global_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most `max_norm`.
+def clip_global_norm(grads, max_norm: float) -> float:
+    """Scale the gradient arrays `grads` in place so their joint L2 norm is at most `max_norm`.
 
     Returns the pre-clip norm. `max_norm` of 0 only measures.
     """
-    total = 0.0
-    grads = [p.grad for p in params.values() if p.grad is not None]
-    for g in grads:
-        total += float(np.sum(g.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for g in grads:
@@ -310,12 +326,11 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
                     f"non-finite loss at step {step} (epoch {epoch}, batch {batch_no}, lr {lr:.3g})"
                 )
 
-            for p in params.values():
-                p.zero_grad()
+            adam.grad.fill(0.0)
             loss.backward()
             # a NaN norm would skip the clip (NaN > max_norm is false) and Adam
             # would write it into every weight, so stop before the update
-            grad_norm = clip_global_norm(params, cfg.grad_clip)
+            grad_norm = clip_global_norm([adam.grad], cfg.grad_clip)
             if not math.isfinite(grad_norm):
                 raise TrainingDivergedError(
                     f"non-finite gradient norm at step {step} (epoch {epoch}, batch {batch_no}, lr {lr:.3g})"

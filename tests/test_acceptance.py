@@ -160,6 +160,12 @@ def _op_gradient_cases(rng):
     w = Tensor(rng.normal(size=(2, 5)))
     cases.append(("softmax", lambda x, w=w: _weighted_sum(T.softmax(x), w), (t((2, 5)),)))
 
+    # 2 heads of width 2; the second sequence's last key is padding
+    fill = np.zeros((2, 1, 1, 3))
+    fill[1, 0, 0, 2] = -1e9
+    w = Tensor(rng.normal(size=(2, 3, 4)))
+    cases.append(("attention", lambda qkv, fill=fill, w=w: _weighted_sum(T.attention(qkv, fill, 2), w), (t((2, 3, 12)),)))
+
     labels = rng.integers(0, 3, size=4)
     cases.append(("cross_entropy", lambda lg, labels=labels: T.tmean(T.cross_entropy(lg, labels)), (t((4, 3)),)))
 

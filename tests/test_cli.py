@@ -208,6 +208,46 @@ def test_corrupt_manifest_config_exits_3_naming_the_file(
     assert str(bad) in json.loads(out)["error"]["message"]
 
 
+def _set_first_param(field, value):
+    def change(manifest):
+        manifest["params"][0][field] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _set_first_param("offset", "x"),
+        _set_first_param("offset", 0.0),
+        lambda manifest: manifest.update(params=5),
+        _set_first_param("shape", 5),
+        _set_first_param("shape", [-1, 16]),
+        _set_first_param("shape", [True, 16]),
+        _set_first_param("name", ["tok_emb"]),
+        lambda manifest: manifest.update(steps=-1),
+        lambda manifest: manifest.update(steps="40"),
+        lambda manifest: manifest.update(config=5),
+    ],
+    ids=[
+        "offset-string", "offset-float", "params-not-a-list", "shape-not-a-list", "negative-dimension",
+        "boolean-dimension", "name-not-a-string", "negative-steps", "steps-string",
+        "config-not-an-object",
+    ],
+)
+def test_malformed_manifest_exits_3_naming_the_file(trained_run, capsys, tmp_path, change):
+    blob = (trained_run / "checkpoint.semb").read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])  # after the magic and the version
+    manifest = json.loads(blob[12 : 12 + length])
+    change(manifest)
+    text = json.dumps(manifest).encode("utf-8")
+    bad = tmp_path / "bad-manifest.semb"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length :])
+    code, out, _ = run_cli(capsys, ["inspect", str(bad), "--quiet"])
+    assert code == 3
+    assert str(bad) in json.loads(out)["error"]["message"]
+
+
 def test_default_train_effective_config_is_pinned(workspace, capsys):
     code, _, _ = run_cli(
         capsys,

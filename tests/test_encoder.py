@@ -269,14 +269,18 @@ def two_mask_forward(enc, ids, mask):
         return T.add_bias(T.matmul(x, p[weight]), p[bias])
 
     def heads(x):
-        return T.reshape(T.transpose(T.reshape(x, (B, L, H, dh)), (0, 2, 1, 3)), (B * H, L, dh))
+        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B * H, L, dh))
 
     h = T.add_bias(T.embedding(p["tok_emb"], ids), T.slice_rows(p["pos_emb"], 0, L))
     h = T.layer_norm(h, p["emb_ln.gain"], p["emb_ln.bias"])
     for i in range(c.n_layers):
         pre = f"layers.{i}."
         flat = T.reshape(h, (B * L, c.dim))
-        q, k, v = (heads(linear(flat, pre + "attn.w" + n, pre + "attn.b" + n)) for n in "qkv")
+        # the encoder's one projection GEMM, split into queries, keys and values
+        w_qkv = T.concat([p[pre + "attn.w" + n] for n in "qkv"], axis=1)
+        b_qkv = T.concat([p[pre + "attn.b" + n] for n in "qkv"], axis=0)
+        qkv = T.reshape(T.linear(flat, w_qkv, b_qkv), (B, L, 3, H, dh))
+        q, k, v = (heads(T.select_index(qkv, 2, j)) for j in range(3))
         scores = T.mul_scalar(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
         ctx = T.matmul(T.softmax(T.add(T.mul(scores, keep_t), fill_t)), v)
         merged = T.reshape(T.transpose(T.reshape(ctx, (B, H, L, dh)), (0, 2, 1, 3)), (B * L, c.dim))

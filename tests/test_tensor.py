@@ -218,6 +218,34 @@ def test_gradient_buffers_appear_only_once_backward_reaches_them():
     assert all(p.grad is not None for p in embedder.encoder.params.values())
 
 
+def _pass_through_graph(x, y):
+    # add, sub, reshape, transpose, concat and an all-axes tsum each hand one
+    # incoming gradient to several parents, and x, y and s are used again
+    s = T.add(x, y)
+    d = T.sub(s, x)
+    t = T.transpose(T.reshape(d, (4, 3)), (1, 0))
+    c = T.concat([t, T.transpose(T.reshape(s, (4, 3)), (1, 0)), t], axis=1)
+    return T.add(T.tsum(T.mul(c, c)), T.tsum(T.sub(T.add(s, y), x)))
+
+
+def test_pass_through_rules_match_finite_differences():
+    rng = np.random.default_rng(17)
+    args = [t64(rng.normal(size=(2, 6))) for _ in range(2)]
+    assert T.grad_check(_pass_through_graph, args, eps=1e-5) < 1e-6
+
+
+def test_no_two_gradients_share_memory():
+    rng = np.random.default_rng(18)
+    x, y = (t64(rng.normal(size=(2, 6)), requires_grad=True) for _ in range(2))
+    loss = _pass_through_graph(x, y)
+    loss.backward()
+    grads = [node.grad for node in _reachable(loss) if node.grad is not None]
+    assert len(grads) > 10
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
 def test_select_index_and_slice_rows_grads():
     x = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
     T.tsum(T.select_index(x, axis=0, index=2)).backward()
@@ -470,6 +498,48 @@ def test_linear_gives_the_bits_of_matmul_then_add_bias():
     for fused, pair in zip(*results):
         assert fused.dtype == pair.dtype == np.float32
         assert fused.tobytes() == pair.tobytes()
+
+
+def _unfused_attention(qkv, fill, heads):
+    """The op chain `attention` stands for, one op per step."""
+    B, L, width = qkv.shape
+    dim = width // 3
+    dh = dim // heads
+    parts = T.reshape(qkv, (B, L, 3, heads, dh))
+    q, k, v = (T.reshape(T.transpose(T.select_index(parts, 2, j), (0, 2, 1, 3)), (B * heads, L, dh)) for j in range(3))
+    fill_t = T.tensor(np.broadcast_to(fill, (B, heads, L, L)).reshape(B * heads, L, L), dtype=qkv.dtype)
+    scores = T.add(T.mul_scalar(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh)), fill_t)
+    ctx = T.matmul(T.softmax(scores), v)
+    return T.reshape(T.transpose(T.reshape(ctx, (B, heads, L, dh)), (0, 2, 1, 3)), (B, L, dim))
+
+
+def test_attention_has_the_forward_bits_of_the_unfused_chain_and_ignores_padded_keys():
+    rng = np.random.default_rng(31)
+    B, L, dim, heads = 3, 7, 16, 4
+    lengths = [7, 4, 2]
+    mask = (np.arange(L)[None, :] < np.array(lengths)[:, None]).astype(np.float32)
+    fill = (1.0 - mask)[:, None, None, :] * -1e9
+    qkv = Tensor(rng.normal(size=(B, L, 3 * dim)).astype(np.float32), requires_grad=True)
+    out = T.attention(qkv, fill, heads)
+    assert out.dtype == np.float32
+    assert out.data.tobytes() == _unfused_attention(qkv, fill, heads).data.tobytes()
+
+    T.tsum(T.mul(out, T.tensor(rng.normal(size=(B, L, dim)), dtype=np.float32))).backward()
+    grads = qkv.grad.reshape(B, L, 3, dim)
+    for row, n in enumerate(lengths):
+        for which in (1, 2):  # keys and values
+            assert np.all(grads[row, n:, which] == 0.0)
+            assert np.all(np.abs(grads[row, :n, which]).max(axis=-1) > 0)
+
+
+def test_attention_rejects_mismatched_operands():
+    qkv = T.tensor(np.ones((2, 3, 12)))
+    with pytest.raises(ShapeError):
+        T.attention(qkv, np.zeros((2, 1, 1, 4)), 2)  # fill for four keys
+    with pytest.raises(ShapeError):
+        T.attention(qkv, np.zeros((2, 1, 1, 3)), 3)  # 3 heads do not divide dim 4
+    with pytest.raises(ShapeError):
+        T.attention(T.tensor(np.ones((2, 3, 10))), np.zeros((2, 1, 1, 3)), 2)
 
 
 def test_linear_rejects_mismatched_operands():

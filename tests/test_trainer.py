@@ -88,6 +88,23 @@ def test_adam_matches_textbook_reference_over_steps():
         np.testing.assert_allclose(p.data, theta, atol=1e-12)
 
 
+def test_adam_keeps_values_and_gradients_in_one_flat_buffer():
+    rng = np.random.default_rng(4)
+    params = {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in (("a", (2, 3)), ("b", (4,)))}
+    values = {name: p.data.copy() for name, p in params.items()}
+    for p in params.values():
+        p.grad[...] = rng.normal(size=p.shape)
+    grads = {name: p.grad.copy() for name, p in params.items()}
+    opt = Adam(params)
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, values[name])
+        np.testing.assert_array_equal(p.grad, grads[name])
+    opt.grad.fill(0.0)
+    assert all(not p.grad.any() for p in params.values())
+    with pytest.raises(TypeError):
+        Adam({"a": params["a"], "c": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)})
+
+
 # --- schedule -----------------------------------------------------------------
 
 
@@ -139,7 +156,7 @@ def test_clip_global_norm_scales_to_bound():
     b = Tensor(np.zeros(1), requires_grad=True)
     a.grad[:] = 3.0
     b.grad[:] = 4.0
-    norm = clip_global_norm({"a": a, "b": b}, max_norm=1.0)
+    norm = clip_global_norm([a.grad, b.grad], max_norm=1.0)
     assert norm == pytest.approx(5.0)
     np.testing.assert_allclose(a.grad, [0.6])
     np.testing.assert_allclose(b.grad, [0.8])
@@ -148,7 +165,7 @@ def test_clip_global_norm_scales_to_bound():
 def test_clip_global_norm_leaves_small_gradients_alone():
     a = Tensor(np.zeros(2), requires_grad=True)
     a.grad[:] = [0.3, 0.4]
-    norm = clip_global_norm({"a": a}, max_norm=1.0)
+    norm = clip_global_norm([a.grad], max_norm=1.0)
     assert norm == pytest.approx(0.5)
     np.testing.assert_allclose(a.grad, [0.3, 0.4])
 
@@ -156,7 +173,7 @@ def test_clip_global_norm_leaves_small_gradients_alone():
 def test_clip_zero_only_measures():
     a = Tensor(np.zeros(1), requires_grad=True)
     a.grad[:] = 100.0
-    assert clip_global_norm({"a": a}, max_norm=0.0) == pytest.approx(100.0)
+    assert clip_global_norm([a.grad], max_norm=0.0) == pytest.approx(100.0)
     np.testing.assert_allclose(a.grad, [100.0])
 
 
@@ -361,7 +378,7 @@ def test_train_stops_at_the_step_whose_gradient_is_non_finite(monkeypatch):
         out._parents = (x,)
 
         def backward(g):
-            x.grad += np.nan
+            T._give(x, np.full_like(x.data, np.nan))  # a fresh array, as a rule hands on first touch
 
         out._backward = backward
         return out
@@ -387,6 +404,36 @@ def test_train_stops_at_the_step_whose_gradient_is_non_finite(monkeypatch):
     assert f"gradient norm at step {planted} (" in str(err.value)
     for name, p in emb.encoder.params.items():
         np.testing.assert_array_equal(p.data, last_good[name], err_msg=name)
+
+
+TRAINING_SETS = {
+    "classification": pair_data(),
+    "regression": [ScoredPair(a=ex.a, b=ex.b, score=float(i % 6)) for i, ex in enumerate(pair_data())],
+    "triplet": [
+        TripletExample(anchor="red fish", positive="green fish", negative="stone"),
+        TripletExample(anchor="blue bird", positive="bird", negative="river stone cloud"),
+        TripletExample(anchor="cloud", positive="river cloud", negative="red"),
+    ] * 4,
+}
+
+
+@pytest.mark.parametrize("objective", sorted(TRAINING_SETS))
+def test_training_twice_from_one_seed_gives_byte_identical_checkpoints(objective, tmp_path):
+    cfg = TrainConfig(objective=objective, epochs=2, batch_size=4, seed=7)
+    paths = []
+    for run in range(2):
+        emb = tiny_embedder(seed=7)
+        result = train(emb, TRAINING_SETS[objective], cfg)
+        paths.append(tmp_path / f"run{run}.semb")
+        emb.save(paths[-1], objective={"objective": objective}, steps=result.total_steps)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # the trained weights are views into the optimizer's buffer; they save and load bit for bit
+    loaded = SentenceEmbedder.load(paths[1])
+    for name, p in emb.encoder.params.items():
+        assert loaded.encoder.params[name].data.tobytes() == p.data.tobytes(), name
+    texts = ["red fish", "blue bird stone", "cloud"]
+    assert loaded.embed(texts).tobytes() == emb.embed(texts).tobytes()
 
 
 def _tensors_only_the_cycle_collector_frees(run):
