@@ -599,7 +599,7 @@ def cmd_inspect(args, cfg: dict) -> int:
         "parameters": entries,
         "total_parameters": sum(int(np.prod(e["shape"])) for e in entries),
     }
-    width = max(len(e["name"]) for e in entries)
+    width = max((len(e["name"]) for e in entries), default=0)
     for entry in entries:
         _say(args, f"{entry['name']:<{width}}  {tuple(entry['shape'])}")
     _say(args, f"total parameters: {report['total_parameters']}")
@@ -621,6 +621,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(EXIT_CONFIG, f"{self.prog}: {message}")
+
+
+def _count(text: str) -> int:
+    """An argparse type: an int of at least 1, so a bad -k is a usage error before any file opens."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -654,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--store", help="vector store path (or set data.store)")
     p.add_argument("--query", help="sentence to search for")
-    p.add_argument("-k", type=int, default=5, help="number of hits")
+    p.add_argument("-k", type=_count, default=5, help="number of hits (at least 1)")
     p.add_argument("--pair", action="store_true", help="report the most similar pair instead")
 
     p = commands.add_parser("bench", help="throughput and padding benchmark")

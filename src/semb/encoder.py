@@ -238,22 +238,15 @@ class Encoder:
 
     def _block(self, i, h, fill, train):
         p = self.params
-        c = self.config
-        B, L, _ = h.shape
         pre = f"layers.{i}."
 
         # one GEMM projects queries, keys and values; the three stay separate parameters
-        flat = T.reshape(h, (B * L, c.dim))
         w_qkv = T.concat([p[pre + "attn.w" + which] for which in "qkv"], axis=1)
         b_qkv = T.concat([p[pre + "attn.b" + which] for which in "qkv"], axis=0)
-        qkv = T.reshape(T.linear(flat, w_qkv, b_qkv), (B, L, 3 * c.dim))
-        ctx = T.reshape(T.attention(qkv, fill, c.n_heads), (B * L, c.dim))
-        attn_out = T.reshape(T.linear(ctx, p[pre + "attn.wo"], p[pre + "attn.bo"]), (B, L, c.dim))
-        attn_out = self._maybe_dropout(attn_out, train)
+        ctx = T.attention(T.linear(h, w_qkv, b_qkv), fill, self.config.n_heads)
+        attn_out = self._maybe_dropout(T.linear(ctx, p[pre + "attn.wo"], p[pre + "attn.bo"]), train)
         h = T.layer_norm(T.add(h, attn_out), p[pre + "ln1.gain"], p[pre + "ln1.bias"])
 
-        flat = T.reshape(h, (B * L, c.dim))
-        inner = T.gelu(T.linear(flat, p[pre + "ffn.w1"], p[pre + "ffn.b1"]))
-        ffn_out = T.reshape(T.linear(inner, p[pre + "ffn.w2"], p[pre + "ffn.b2"]), (B, L, c.dim))
-        ffn_out = self._maybe_dropout(ffn_out, train)
+        inner = T.gelu(T.linear(h, p[pre + "ffn.w1"], p[pre + "ffn.b1"]))
+        ffn_out = self._maybe_dropout(T.linear(inner, p[pre + "ffn.w2"], p[pre + "ffn.b2"]), train)
         return T.layer_norm(T.add(h, ffn_out), p[pre + "ln2.gain"], p[pre + "ln2.bias"])

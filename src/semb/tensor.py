@@ -394,25 +394,33 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a 2-D x: one node, the same bits as `matmul` then `add_bias`."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+    """x @ w + b over the last axis, for any leading shape, as one node.
+
+    `x` is (..., in), `w` is (in, out) and the result is (..., out). The
+    leading axes are flattened into rows, so the product is one 2-D GEMM
+    with the bits of `reshape` to 2-D, `matmul`, `add_bias` and `reshape`
+    back.
+    """
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: cannot multiply {x.data.shape} by {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear: bias {b.data.shape} does not match {w.data.shape[1]} outputs")
     if not x.data.dtype == w.data.dtype == b.data.dtype:
         raise TypeError(f"linear: dtypes {x.data.dtype}, {w.data.dtype} and {b.data.dtype} differ")
-    out_data = np.matmul(x.data, w.data)
-    out_data += b.data
+    rows = x.data.reshape(-1, w.data.shape[0])
+    out_rows = np.matmul(rows, w.data)
+    out_rows += b.data
 
     def backward(g):
+        g = g.reshape(out_rows.shape)
         if x.requires_grad:
-            _give(x, np.matmul(g, w.data.T))
+            _give(x, np.matmul(g, w.data.T).reshape(x.data.shape))
         if w.requires_grad:
-            _give(w, np.matmul(x.data.T, g))
+            _give(w, np.matmul(rows.T, g))
         if b.requires_grad:
             _give(b, np.sum(g, axis=0, dtype=np.float64).astype(b.data.dtype))
 
-    return _result(out_data, (x, w, b), "linear", backward)
+    return _result(out_rows.reshape(*x.data.shape[:-1], w.data.shape[1]), (x, w, b), "linear", backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -459,16 +467,17 @@ def concat(parts, axis: int) -> Tensor:
     parts = list(parts)
     if not parts:
         raise ShapeError("concat: need at least one tensor")
-    sizes = [p.data.shape[axis] for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        index = [slice(None)] * g.ndim
+        start = 0
+        for part in parts:
+            stop = start + part.data.shape[axis]
             if part.requires_grad:
-                index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
                 _pass(part, g[tuple(index)])
+            start = stop
 
     return _result(out_data, parts, "concat", backward)
 
@@ -544,13 +553,13 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 # nonlinear ops
 
 
-def _softmax_rows(x):
-    """Softmax over the last axis of array `x`, as a new array.
+def _softmax_rows(x, out=None):
+    """Softmax over the last axis of array `x`, into `out` (which may be `x`) or a new array.
 
     Max-subtracted for stability; exponentials are taken in the storage
     dtype, and each row's normalizer is summed in float64.
     """
-    y = x - np.max(x, axis=-1, keepdims=True)
+    y = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
     return y
@@ -599,14 +608,16 @@ def attention(qkv: Tensor, fill, heads: int) -> Tensor:
         raise ShapeError(f"attention: fill must be {(B, 1, 1, L)}, got {fill.shape}")
     dh = dim // heads
     scale = dtype.type(1.0 / np.sqrt(dh))
-    # (B, L, 3, heads, dh) -> contiguous (B, heads, L, dh) queries, keys and values
-    q, k, v = (np.ascontiguousarray(part.transpose(0, 2, 1, 3))
-               for part in np.moveaxis(qkv.data.reshape(B, L, 3, heads, dh), 2, 0))
+    # strided (B, heads, L, dh) views of the queries, keys and values; BLAS reads them in place
+    q, k, v = qkv.data.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     scores = np.matmul(q, np.swapaxes(k, -1, -2))
     scores *= scale
     scores += fill
-    weights = _softmax_rows(scores)
-    out_data = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(B, L, dim)
+    weights = _softmax_rows(scores, out=scores)
+    # each head's context lands in its columns of the merged (B, L, dim) result
+    out_data = np.empty((B, L, heads, dh), dtype)
+    np.matmul(weights, v, out=out_data.transpose(0, 2, 1, 3))
+    out_data = out_data.reshape(B, L, dim)
 
     def backward(g):
         if qkv.requires_grad:
@@ -652,58 +663,100 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _result(losses, (logits,), "cross_entropy", backward)
 
 
+def _row_means(a):
+    """Float64 means over the last axis of 2-D `a`: one matrix-vector product with a ones vector."""
+    n = a.shape[-1]
+    return (a.astype(np.float64, copy=False) @ np.ones(n)) / n
+
+
+def _column_sums(a):
+    """Float64 sums over the rows of 2-D `a`: one vector-matrix product with a ones vector."""
+    return np.ones(a.shape[0]) @ a.astype(np.float64, copy=False)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
-    Computed in the storage dtype; the mean and variance of each row are
-    accumulated in float64.
+    Computed in the storage dtype over the rows of `x` flattened to 2-D.
+    The mean and variance of each row, and in backward the sums over
+    rows for `gain` and `bias`, are accumulated in float64, each as one
+    BLAS matrix-vector product with a ones vector. The output buffer
+    holds the squared deviations until the variance is taken.
     """
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({n},)")
     dtype = x.data.dtype
-    mu = np.mean(x.data, axis=-1, keepdims=True, dtype=np.float64)
-    xhat = x.data - mu.astype(dtype)
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(dtype)
+    rows = x.data.reshape(-1, n)
+    xhat = rows - _row_means(rows).astype(dtype)[:, None]
+    out_data = np.multiply(xhat, xhat)
+    inv_std = (1.0 / np.sqrt(_row_means(out_data) + eps)).astype(dtype)[:, None]
     xhat *= inv_std
-    out_data = xhat * gain.data
+    np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data
 
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
+        g = g.reshape(xhat.shape)
+        scratch = np.multiply(g, xhat)
         if gain.requires_grad:
-            _give(gain, np.sum(g * xhat, axis=lead, dtype=np.float64).astype(dtype))
+            _give(gain, _column_sums(scratch).astype(dtype))
         if bias.requires_grad:
-            _give(bias, np.sum(g, axis=lead, dtype=np.float64).astype(dtype))
+            _give(bias, _column_sums(g).astype(dtype))
         if x.requires_grad:
             gx = g * gain.data
-            mean_gx = np.mean(gx, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
-            mean_gx_xhat = np.mean(gx * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            mean_gx = _row_means(gx).astype(dtype)[:, None]
+            np.multiply(gx, xhat, out=scratch)
+            mean_gx_xhat = _row_means(scratch).astype(dtype)[:, None]
             gx -= mean_gx
-            gx -= xhat * mean_gx_xhat
+            np.multiply(xhat, mean_gx_xhat, out=scratch)
+            gx -= scratch
             gx *= inv_std
-            _give(x, gx)
+            _give(x, gx.reshape(x.data.shape))
 
-    return _result(out_data, (x, gain, bias), "layer_norm", backward)
+    return _result(out_data.reshape(x.data.shape), (x, gain, bias), "layer_norm", backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation).
+
+    Forward and backward each fill two fresh buffers in place, one
+    operation at a time, and keep the bits of evaluating the expressions
+    in the comments below with one NumPy temporary per operation.
+    """
     xd = x.data
-    # multiplied out: xd**3 goes through float pow, about 100x slower at float32
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out_data = (0.5 * xd * (1.0 + t)).astype(xd.dtype)
+    # t = tanh(c * (x + 0.044715 * x**3)), the cube multiplied out: x**3 goes
+    # through float pow, about 100x slower at float32
+    t = np.multiply(xd, xd)
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # 0.5 * x * (1 + t) as (1 + t) * 0.5 * x: halving is exact short of subnormals, so the bits agree
+    out_data = np.add(t, 1.0)
+    out_data *= 0.5
+    out_data *= xd
 
     def backward(g):
         if x.requires_grad:
-            sech2 = 1.0 - t * t
-            local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-            _give(x, (g * local).astype(xd.dtype))
+            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x**2))
+            a = np.multiply(t, t)
+            np.subtract(1.0, a, out=a)
+            local = np.multiply(xd, 0.5)
+            local *= a
+            local *= _GELU_C
+            np.multiply(xd, xd, out=a)
+            a *= 3 * 0.044715
+            a += 1.0
+            local *= a
+            np.add(t, 1.0, out=a)
+            a *= 0.5
+            a += local
+            a *= g
+            _give(x, a)
 
     return _result(out_data, (x,), "gelu", backward)
 

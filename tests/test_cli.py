@@ -496,6 +496,34 @@ def test_inspect_dumps_manifest(workspace, trained_run, capsys):
     assert report["total_parameters"] > 0
 
 
+def test_inspect_lists_no_parameters_for_a_checkpoint_without_any(capsys, tmp_path):
+    path = tmp_path / "empty.semb"
+    save_checkpoint(path, {"vocab_size": 4}, "mean", False, [], params={})
+    code, out, err = run_cli(capsys, ["inspect", str(path), "--quiet"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["parameters"] == []
+    assert report["total_parameters"] == 0
+
+
+def test_search_with_a_zero_norm_query_exits_5(trained_run, capsys, tmp_path):
+    # an all-zero encoder embeds every text to the zero vector
+    embedder = SentenceEmbedder.load(trained_run / "checkpoint.semb")
+    for param in embedder.encoder.params.values():
+        param.data[...] = 0.0
+    ckpt = tmp_path / "zero.semb"
+    embedder.save(ckpt)
+    store = VectorStore(embedder.dim)
+    store.add("real", np.ones(embedder.dim))
+    store.save(tmp_path / "one.semv")
+    code, out, _ = run_cli(
+        capsys, ["search", "--store", str(tmp_path / "one.semv"), "--data.checkpoint", str(ckpt),
+                 "--query", "rain", "-k", "1", "--quiet"]
+    )
+    assert code == 5
+    assert "zero-norm" in json.loads(out)["error"]["message"]
+
+
 def test_ablate_repeated_seed_gives_zero_std(workspace, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -611,8 +639,12 @@ def test_error_output_is_json_on_stdout(capsys):
 
 @pytest.mark.parametrize(
     "argv, said",
-    [(["train", "--epochs", "x"], "invalid int value"), ([], "required: command")],
-    ids=["bad-int", "no-command"],
+    [(["train", "--epochs", "x"], "invalid int value"), ([], "required: command"),
+     # refused before the (missing) store is opened
+     (["search", "--store", "missing.semv", "--query", "rain", "-k", "0"], "argument -k: must be at least 1"),
+     (["search", "--store", "missing.semv", "--query", "rain", "-k", "-3"], "argument -k: must be at least 1"),
+     (["search", "--store", "missing.semv", "--query", "rain", "-k", "x"], "argument -k: invalid int value")],
+    ids=["bad-int", "no-command", "k-zero", "k-negative", "k-not-int"],
 )
 def test_usage_error_prints_one_json_document_and_exits_2(capsys, argv, said):
     code, out, err = run_cli(capsys, argv)

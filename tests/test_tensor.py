@@ -349,6 +349,12 @@ def case_linear(rng):
 
 
 @grad_case
+def case_linear_3d(rng):
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+    return lambda u, v, c: T.tsum(T.mul(T.linear(u, v, c), T.linear(u, v, c))), [x, w, b]
+
+
+@grad_case
 def case_reshape_transpose(rng):
     a = rng.normal(size=(2, 3, 4))
     return lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (2, 12)), (1, 0)), T.transpose(T.reshape(x, (2, 12)), (1, 0)))), [a]
@@ -498,6 +504,90 @@ def test_linear_gives_the_bits_of_matmul_then_add_bias():
     for fused, pair in zip(*results):
         assert fused.dtype == pair.dtype == np.float32
         assert fused.tobytes() == pair.tobytes()
+
+
+def test_linear_over_leading_axes_gives_the_bits_of_reshape_linear_reshape():
+    rng = np.random.default_rng(22)
+    arrays = [rng.normal(size=shape).astype(np.float32) for shape in ((5, 9, 24), (24, 40), (40,))]
+    upstream = T.tensor(rng.normal(size=(5, 9, 40)), dtype=np.float32)
+
+    def flattened(x, w, b):
+        return T.reshape(T.linear(T.reshape(x, (45, 24)), w, b), (5, 9, 40))
+
+    results = []
+    for op in (T.linear, flattened):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        T.tsum(T.mul(out, upstream)).backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for direct, reference in zip(*results):
+        assert direct.shape == reference.shape
+        assert direct.tobytes() == reference.tobytes()
+
+
+# The expressions `gelu` and `layer_norm` evaluated one NumPy temporary at a
+# time before they were rewritten to fill buffers in place; the rewrite must
+# keep their bits.
+
+
+def reference_gelu(x, g):
+    c = float(np.sqrt(2.0 / np.pi))
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    out = (0.5 * x * (1.0 + t)).astype(x.dtype)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x**2)
+    return out, (g * local).astype(x.dtype)
+
+
+def reference_layer_norm_bits(x, gain, bias, g, eps=1e-5):
+    dtype = x.dtype
+    mu = np.mean(x, axis=-1, keepdims=True, dtype=np.float64)
+    xhat = x - mu.astype(dtype)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(dtype)
+    xhat *= inv_std
+    out = xhat * gain
+    out += bias
+    lead = tuple(range(g.ndim - 1))
+    g_gain = np.sum(g * xhat, axis=lead, dtype=np.float64).astype(dtype)
+    g_bias = np.sum(g, axis=lead, dtype=np.float64).astype(dtype)
+    gx = g * gain
+    mean_gx = np.mean(gx, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+    mean_gx_xhat = np.mean(gx * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+    gx -= mean_gx
+    gx -= xhat * mean_gx_xhat
+    gx *= inv_std
+    return out, gx, g_gain, g_bias
+
+
+def _forward_and_grads(op, arrays, g):
+    # interior inputs take the rule's gradients as they are; a leaf would add
+    # them to its zero buffer, which turns -0.0 into 0.0
+    inputs = [T.mul_scalar(Tensor(a, requires_grad=True), 1.0) for a in arrays]
+    out = op(*inputs)
+    T.tsum(T.mul(out, T.tensor(g))).backward()
+    return [out.data] + [x.grad for x in inputs]
+
+
+# (batch, length, width) of the default encoder's activations: a short and a long batch
+@pytest.mark.parametrize("shape", [(16, 12, 64), (32, 62, 64), (32, 62, 256)])
+def test_gelu_and_layer_norm_keep_the_bits_of_their_reference_expressions(shape):
+    rng = np.random.default_rng(shape[1] * shape[2])
+    x = (rng.normal(size=shape) * 3.0).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    gain = (1.0 + 0.1 * rng.normal(size=shape[-1])).astype(np.float32)
+    bias = (0.1 * rng.normal(size=shape[-1])).astype(np.float32)
+
+    got = _forward_and_grads(T.gelu, [x], g)
+    want = reference_gelu(x, g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+
+    out, gx, g_gain, g_bias = reference_layer_norm_bits(x, gain, bias, g)
+    got = _forward_and_grads(T.layer_norm, [x, gain, bias], g)
+    for a, b in zip(got, [out, gx, g_gain, g_bias]):
+        assert a.dtype == b.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
 
 
 def _unfused_attention(qkv, fill, heads):
