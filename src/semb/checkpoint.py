@@ -23,6 +23,7 @@ import zlib
 import numpy as np
 
 from .binio import ByteReader, FormatError, pack_block, pack_u32, write_atomic
+from .data import JSON_ERRORS
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -93,7 +94,7 @@ def load_checkpoint(path):
     reader.expect_version(VERSION)
     try:
         manifest = json.loads(reader.block().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except JSON_ERRORS as exc:  # UnicodeDecodeError is a ValueError too
         raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")

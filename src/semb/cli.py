@@ -30,6 +30,7 @@ from semb.binio import DimensionMismatchError, FormatError, write_atomic
 from semb.checkpoint import VERSION as CHECKPOINT_VERSION
 from semb.checkpoint import load_checkpoint
 from semb.data import (
+    JSON_ERRORS,
     DataFormatError,
     _iter_jsonl,
     build_label_map,
@@ -129,8 +130,8 @@ def _check_field(path: str, value, default):
         if isinstance(value, bool) or not isinstance(value, int):
             raise CliError(EXIT_CONFIG, f"config field {path} must be an integer")
     elif isinstance(default, float):
-        # JSON's NaN and Infinity parse as floats but pass no range check
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        # JSON's NaN and Infinity parse as floats, and an integer may be past float range
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise CliError(EXIT_CONFIG, f"config field {path} must be a finite number")
     elif not isinstance(value, str):
         raise CliError(EXIT_CONFIG, f"config field {path} must be a string")
@@ -153,8 +154,8 @@ def _merge_section(cfg: dict, section: str, content) -> None:
 def _parse_override_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw  # bare strings like "mean" or "u,v,abs"
+    except JSON_ERRORS:
+        return raw  # bare strings like "mean" or "u,v,abs"; the field's type check rejects the rest
 
 
 def _apply_overrides(cfg: dict, leftovers: list[str]) -> None:
@@ -189,8 +190,8 @@ def _load_config(args, leftovers: list[str]) -> dict:
                                         f" at offset {exc.start}")
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(EXIT_CONFIG, f"config {config_path} is not valid JSON: {exc.msg}")
+        except JSON_ERRORS as exc:
+            raise CliError(EXIT_CONFIG, f"config {config_path} is not valid JSON: {getattr(exc, 'msg', exc)}")
         if not isinstance(loaded, dict):
             raise CliError(EXIT_CONFIG, f"config {config_path} must be a JSON object")
         for section, content in loaded.items():
@@ -399,10 +400,11 @@ def cmd_ablate(args, cfg: dict) -> int:
         raise CliError(EXIT_CONFIG, f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if len(seeds) < 2:
         raise CliError(EXIT_CONFIG, "--seeds needs at least 2 entries")
-    for pooling in poolings:
-        _validate_choice(pooling, POOLING_MODES, "--poolings")
-    for mode in modes:
-        _validate_choice(mode, COMBINE_MODES, "--modes")
+    for flag, values, allowed in (("--poolings", poolings, POOLING_MODES), ("--modes", modes, COMBINE_MODES)):
+        if not values:
+            raise CliError(EXIT_CONFIG, f"{flag} needs at least 1 entry")
+        for value in values:
+            _validate_choice(value, allowed, flag)
 
     score = _scorer("sts", _require(cfg, "data", "dev", "to score ablation cells"), cfg)
 

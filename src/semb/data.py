@@ -1,14 +1,18 @@
 """Dataset loading: JSONL readers for the three training objectives plus probes.
 
-Every reader validates per line and reports failures with the 1-based
-line number, so a bad record in a large file is findable.
+One reader serves every record type: each line is a JSON object whose
+fields are checked in the record dataclass's order. `label` is a string
+or integer (kept as a string), `score` a finite number (kept as a float;
+an integer no float holds is not finite), any other field a string; a
+bool is neither. A failure names the file and the 1-based line.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 __all__ = [
     "DataFormatError",
@@ -24,6 +28,9 @@ __all__ = [
     "read_lines",
     "NLI_LABELS",
 ]
+
+# json.loads: a ValueError for bad syntax or too many digits, RecursionError for deep nesting
+JSON_ERRORS = (ValueError, RecursionError)
 
 # fixed mapping for inference-style labels so checkpoints agree across datasets
 NLI_LABELS = {"contradiction": 0, "entailment": 1, "neutral": 2}
@@ -85,88 +92,63 @@ def _iter_jsonl(path):
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(path, lineno, f"invalid JSON ({exc.msg})") from None
+        except JSON_ERRORS as exc:
+            raise DataFormatError(path, lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict):
             raise DataFormatError(path, lineno, "expected a JSON object")
         yield lineno, obj
 
 
-def _text_field(obj, key, path, lineno):
-    if key not in obj:
-        raise DataFormatError(path, lineno, f"missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise DataFormatError(path, lineno, f"field {key!r} must be a string")
-    return value
+def _finite(value) -> float:
+    # NaN, the infinities and an integer no float holds all fail the comparison
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError("must be finite")
+    return float(value)
 
 
-def _label_field(obj, path, lineno):
-    if "label" not in obj:
-        raise DataFormatError(path, lineno, "missing field 'label'")
-    value = obj["label"]
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise DataFormatError(path, lineno, "field 'label' must be a string or integer")
-    return str(value)
+# field name -> (the JSON types it may hold, as the message names them, conversion);
+# a field not listed is text
+_FIELD_RULES = {
+    "label": ((str, int), "a string or integer", str),
+    "score": ((int, float), "a number", _finite),
+}
+_TEXT_RULE = ((str,), "a string", str)
+
+
+def _read_records(path, record):
+    """One `record` per object line, its fields checked in declaration order."""
+    rules = [(f.name, *_FIELD_RULES.get(f.name, _TEXT_RULE)) for f in fields(record)]
+    out = []
+    for lineno, obj in _iter_jsonl(path):
+        values = []
+        for name, types, kind, convert in rules:
+            if name not in obj:
+                raise DataFormatError(path, lineno, f"missing field {name!r}")
+            value = obj[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DataFormatError(path, lineno, f"field {name!r} must be {kind}")
+            try:
+                values.append(convert(value))
+            except ValueError as exc:
+                raise DataFormatError(path, lineno, f"field {name!r} {exc}") from None
+        out.append(record(*values))
+    return out
 
 
 def load_classification_pairs(path) -> list[PairExample]:
-    """Read {"a", "b", "label"} records."""
-    out = []
-    for lineno, obj in _iter_jsonl(path):
-        out.append(
-            PairExample(
-                a=_text_field(obj, "a", path, lineno),
-                b=_text_field(obj, "b", path, lineno),
-                label=_label_field(obj, path, lineno),
-            )
-        )
-    return out
+    return _read_records(path, PairExample)
 
 
 def load_scored_pairs(path) -> list[ScoredPair]:
-    """Read {"a", "b", "score"} records; scores must be finite numbers."""
-    out = []
-    for lineno, obj in _iter_jsonl(path):
-        a = _text_field(obj, "a", path, lineno)
-        b = _text_field(obj, "b", path, lineno)
-        if "score" not in obj:
-            raise DataFormatError(path, lineno, "missing field 'score'")
-        score = obj["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise DataFormatError(path, lineno, "field 'score' must be a number")
-        score = float(score)
-        if score != score or score in (float("inf"), float("-inf")):
-            raise DataFormatError(path, lineno, "field 'score' must be finite")
-        out.append(ScoredPair(a=a, b=b, score=score))
-    return out
+    return _read_records(path, ScoredPair)
 
 
 def load_triplets(path) -> list[TripletExample]:
-    """Read {"anchor", "positive", "negative"} records."""
-    out = []
-    for lineno, obj in _iter_jsonl(path):
-        out.append(
-            TripletExample(
-                anchor=_text_field(obj, "anchor", path, lineno),
-                positive=_text_field(obj, "positive", path, lineno),
-                negative=_text_field(obj, "negative", path, lineno),
-            )
-        )
-    return out
+    return _read_records(path, TripletExample)
 
 
 def load_labeled_texts(path) -> list[LabeledText]:
-    """Read {"text", "label"} records (probe / classification eval sets)."""
-    out = []
-    for lineno, obj in _iter_jsonl(path):
-        out.append(
-            LabeledText(
-                text=_text_field(obj, "text", path, lineno),
-                label=_label_field(obj, path, lineno),
-            )
-        )
-    return out
+    return _read_records(path, LabeledText)
 
 
 def build_label_map(labels) -> dict[str, int]:

@@ -68,9 +68,6 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._id_of.get(token, UNK_ID)
 
-    def __contains__(self, token) -> bool:
-        return token in self._id_of
-
     def encode(self, text: str, max_len: int) -> list[int]:
         """Token ids wrapped in cls/sep; interior truncated to max_len - 2."""
         if max_len < 2:
@@ -163,7 +160,6 @@ class Encoder:
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self._drop_rng = np.random.default_rng(rng.integers(0, 2**63))
         self.params: dict[str, Tensor] = {}
@@ -198,9 +194,6 @@ class Encoder:
             zeros(p + "ffn.b2", (c.dim,))
             ones(p + "ln2.gain", (c.dim,))
             zeros(p + "ln2.bias", (c.dim,))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
         if train and self.config.dropout > 0.0:

@@ -674,7 +674,10 @@ def _column_sums(a):
     return np.ones(a.shape[0]) @ a.astype(np.float64, copy=False)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to each row's variance
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     Computed in the storage dtype over the rows of `x` flattened to 2-D.
@@ -690,7 +693,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     rows = x.data.reshape(-1, n)
     xhat = rows - _row_means(rows).astype(dtype)[:, None]
     out_data = np.multiply(xhat, xhat)
-    inv_std = (1.0 / np.sqrt(_row_means(out_data) + eps)).astype(dtype)[:, None]
+    inv_std = (1.0 / np.sqrt(_row_means(out_data) + _LN_EPS)).astype(dtype)[:, None]
     xhat *= inv_std
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data
@@ -803,26 +806,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # gradient checking
 
 
-def grad_check(f, args, eps: float = 1e-4, jitter: float = 0.0, rng=None) -> float:
+def grad_check(f, args, eps: float = 1e-4) -> float:
     """Compare analytic gradients of scalar-valued `f` against central differences.
 
     `args` is a Tensor or sequence of Tensors; each is rebuilt with
-    requires_grad so the check does not disturb the caller's graph. With
-    `jitter` > 0 each point is shifted once by a uniform random offset,
-    which keeps checks away from kinks (|.|, max ties) when the caller
-    cannot guarantee it. Returns max over coordinates of
-    |analytic - numeric| / max(1, |numeric|). Run at float64 for tight
-    tolerances; float32 rounding dominates otherwise.
+    requires_grad so the check does not disturb the caller's graph.
+    Returns max over coordinates of |analytic - numeric| / max(1, |numeric|).
+    Run at float64 for tight tolerances; float32 rounding dominates otherwise.
     """
     if isinstance(args, Tensor):
         args = [args]
-    points = []
-    for a in args:
-        data = a.data.copy()
-        if jitter > 0.0:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            data = data + gen.uniform(-jitter, jitter, size=data.shape).astype(data.dtype)
-        points.append(Tensor(data, requires_grad=True))
+    points = [Tensor(a.data.copy(), requires_grad=True) for a in args]
 
     loss = f(*points)
     if loss.data.size != 1:

@@ -114,6 +114,9 @@ class TrainResult:
     final_loss: float = field(default=float("nan"))
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator guard
+
+
 class Adam:
     """Adam with bias correction over one flat buffer of every parameter.
 
@@ -124,11 +127,8 @@ class Adam:
     pass over `grad`. All parameters must share one dtype.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         tensors = list(self.params.values())
         dtypes = {p.data.dtype for p in tensors}
@@ -151,14 +151,14 @@ class Adam:
 
     def step(self, lr: float):
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         g = self.grad
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        self.data -= (lr / c1) * self.m / (np.sqrt(self.v / c2) + self.eps)
+        self.m *= _BETA1
+        self.m += (1.0 - _BETA1) * g
+        self.v *= _BETA2
+        self.v += (1.0 - _BETA2) * g * g
+        self.data -= (lr / c1) * self.m / (np.sqrt(self.v / c2) + _ADAM_EPS)
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_frac: float, constant_after_warmup: bool = False) -> float:

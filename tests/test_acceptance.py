@@ -216,7 +216,7 @@ def _composed_gradient_error(objective, pooling, point):
 
     first = [sentence(), sentence()]
     second = [sentence(), sentence()]
-    params = dict(encoder.parameters())
+    params = dict(encoder.params)
 
     if objective == "classification":
         head = ClassificationObjective(cfg.dim, 3, mode="u,v,abs", seed=point, dtype=np.float64)

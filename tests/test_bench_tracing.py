@@ -57,6 +57,9 @@ def test_tracer_wraps_its_names_and_uninstall_restores_every_original(monkeypatc
         ("SentenceEmbedder", "encode_batch"),
         ("SentenceEmbedder", "embed_tensor"),
         ("SentenceEmbedder", "embed"),
+        ("semb.data", "load_scored_pairs"),
+        ("semb.data", "load_classification_pairs"),
+        ("semb.data", "load_triplets"),
     } <= wrapped
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []

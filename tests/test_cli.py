@@ -248,6 +248,47 @@ def test_malformed_manifest_exits_3_naming_the_file(trained_run, capsys, tmp_pat
     assert str(bad) in json.loads(out)["error"]["message"]
 
 
+_HUGE = "1" + "0" * 400  # an integer no float can hold
+_TOO_MANY_DIGITS = "7" * 5000  # past Python's limit for int parsing
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ["[" * 100_000, '{"steps": ' + _TOO_MANY_DIGITS + "}"],
+    ids=["nested-too-deep", "too-many-digits"],
+)
+def test_manifest_json_python_cannot_parse_exits_3_naming_the_file(trained_run, capsys, tmp_path, manifest):
+    blob = (trained_run / "checkpoint.semb").read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    text = manifest.encode("utf-8")
+    bad = tmp_path / "deep-manifest.semb"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length :])
+    code, out, _ = run_cli(capsys, ["inspect", str(bad), "--quiet"])
+    assert code == 3
+    assert str(bad) in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "config, flags, said",
+    [
+        ('{"train": {"lr": ' + _HUGE + "}}", [], "train.lr"),
+        ('{"train": {"epochs": ' + _TOO_MANY_DIGITS + "}}", [], "cfg.json"),
+        ("[" * 100_000, [], "cfg.json"),
+        (None, ["--train.lr", _HUGE], "train.lr"),
+        (None, ["--train.epochs", _TOO_MANY_DIGITS], "train.epochs"),
+    ],
+    ids=["file-float-outside-range", "file-too-many-digits", "file-nested-too-deep",
+         "flag-float-outside-range", "flag-too-many-digits"],
+)
+def test_config_json_no_field_can_hold_exits_2(capsys, tmp_path, config, flags, said):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+        flags = ["--config", str(tmp_path / "cfg.json")] + flags
+    code, out, _ = run_cli(capsys, ["train", "--data.train", str(tmp_path / "missing.jsonl"), "--quiet"] + flags)
+    assert code == 2
+    assert said in json.loads(out)["error"]["message"]
+
+
 def test_default_train_effective_config_is_pinned(workspace, capsys):
     code, _, _ = run_cli(
         capsys,
@@ -536,6 +577,18 @@ def test_ablate_repeated_seed_gives_zero_std(workspace, capsys):
     cells = json.loads(out)["cells"]
     assert len(cells) == 1
     assert cells[0]["std"] == 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--poolings", ","), ("--modes", ";"), ("--modes", " ; ")])
+def test_ablate_with_an_empty_list_exits_2_before_reading_data(capsys, tmp_path, flag, value):
+    code, out, _ = run_cli(
+        capsys,
+        ["ablate", "--data.train", str(tmp_path / "missing.jsonl"), "--data.dev", str(tmp_path / "missing.jsonl"),
+         flag, value, "--runs-root", str(tmp_path / "runs"), "--quiet"],
+    )
+    assert code == 2
+    assert flag in json.loads(out)["error"]["message"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_ablate_emits_table_when_a_cell_fails(workspace, capsys, monkeypatch):

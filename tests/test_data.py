@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from semb.data import (
@@ -99,3 +101,78 @@ def test_label_map_uses_nli_convention():
 def test_label_map_sorts_other_label_sets():
     assert build_label_map(["dog", "cat", "dog"]) == {"cat": 0, "dog": 1}
     assert build_label_map(["1", "0", "2"]) == {"0": 0, "1": 1, "2": 2}
+
+
+# The reader's contract. A valid record per loader; each of its fields is
+# tried missing and with values of the wrong type, on line 2 of the file.
+_VALID = {
+    load_classification_pairs: {"a": "x", "b": "y", "label": "entailment"},
+    load_scored_pairs: {"a": "x", "b": "y", "score": 1.5},
+    load_triplets: {"anchor": "a", "positive": "p", "negative": "n"},
+    load_labeled_texts: {"text": "t", "label": "pos"},
+}
+# field -> (values it must refuse, the end of the message that refuses them)
+_WRONG = {
+    "label": ([True, False, 1.5, None, ["pos"], {}], "must be a string or integer"),
+    "score": ([True, False, "1.5", None, [1.5], {}], "must be a number"),
+}
+_WRONG_TEXT = ([5, 1.5, True, None, ["x"], {}], "must be a string")
+
+
+def _contract_cases():
+    for loader, valid in _VALID.items():
+        for field in valid:
+            missing = {k: v for k, v in valid.items() if k != field}
+            yield pytest.param(loader, missing, f"missing field {field!r}", id=f"{loader.__name__}-no-{field}")
+            values, problem = _WRONG.get(field, _WRONG_TEXT)
+            for value in values:
+                yield pytest.param(loader, {**valid, field: value}, f"field {field!r} {problem}",
+                                   id=f"{loader.__name__}-{field}={json.dumps(value)}")
+        # fields are checked in declaration order: the first one reports
+        first = next(iter(valid))
+        yield pytest.param(loader, {}, f"missing field {first!r}", id=f"{loader.__name__}-empty")
+        yield pytest.param(loader, {first: 0}, f"field {first!r} must be a string", id=f"{loader.__name__}-first-wrong")
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        yield pytest.param(load_scored_pairs, {"a": "x", "b": "y", "score": float(constant)},
+                           "field 'score' must be finite", id=f"score={constant}")
+
+
+@pytest.mark.parametrize("loader, record, problem", _contract_cases())
+def test_reader_contract_names_the_field_and_the_line(tmp_path, loader, record, problem):
+    path = write(tmp_path, "d.jsonl", [json.dumps(_VALID[loader]), json.dumps(record)])
+    with pytest.raises(DataFormatError) as err:
+        loader(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"{path}, line 2: {problem}"
+
+
+def test_reader_keeps_integer_labels_as_strings_and_integer_scores_as_floats(tmp_path):
+    cls = load_classification_pairs(write(tmp_path, "c.jsonl", ['{"a": "x", "b": "y", "label": -7}']))
+    assert cls[0].label == "-7" and type(cls[0].label) is str
+    probe = load_labeled_texts(write(tmp_path, "p.jsonl", ['{"text": "t", "label": 0}']))
+    assert probe[0].label == "0" and type(probe[0].label) is str
+    sts = load_scored_pairs(write(tmp_path, "s.jsonl", ['{"a": "x", "b": "y", "score": 4}']))
+    assert sts[0].score == 4.0 and type(sts[0].score) is float
+
+
+_HUGE = "1" + "0" * 400  # an integer no float can hold
+_TOO_MANY_DIGITS = "7" * 5000  # past Python's limit for int parsing
+
+
+@pytest.mark.parametrize(
+    "loader, line",
+    [
+        (load_scored_pairs, f'{{"a": "x", "b": "y", "score": {_HUGE}}}'),
+        (load_scored_pairs, f'{{"a": "x", "b": "y", "score": {_TOO_MANY_DIGITS}}}'),
+        (load_labeled_texts, f'{{"text": "t", "label": {_TOO_MANY_DIGITS}}}'),
+        (load_triplets, "[" * 100_000),
+    ],
+    ids=["score-outside-float-range", "score-too-many-digits", "label-too-many-digits", "nested-too-deep"],
+)
+def test_json_no_record_can_hold_is_a_format_error_on_its_line(tmp_path, loader, line):
+    good = json.dumps(_VALID[loader])
+    path = write(tmp_path, "d.jsonl", [good, line, good])
+    with pytest.raises(DataFormatError) as err:
+        loader(path)
+    assert err.value.line == 2
+    assert str(err.value).startswith(f"{path}, line 2: ")

@@ -39,7 +39,7 @@ def test_vocab_assigns_ids_from_four():
     assert v.id_of("dog") == 5
     assert v.id_of("bird") == UNK_ID
     assert v.size == 6
-    assert "cat" in v and "bird" not in v
+    assert v.tokens == ["cat", "dog"]
 
 
 def test_vocab_encode_wraps_and_truncates():

@@ -70,7 +70,7 @@ def test_adam_zero_gradient_from_fresh_state_is_identity():
 def test_adam_matches_textbook_reference_over_steps():
     rng = np.random.default_rng(8)
     p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    opt = Adam({"p": p}, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam({"p": p})
 
     theta = p.data.copy()
     m = np.zeros_like(theta)
