@@ -117,6 +117,7 @@ _FIELD_RULES = {
     "eval.probe_l2": (operator.ge, 0.0),
 }
 _BOUND_WORDS = {operator.ge: "at least", operator.gt: "above"}
+_INT_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_field(path: str, value, default):
@@ -129,6 +130,9 @@ def _check_field(path: str, value, default):
     elif isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise CliError(EXIT_CONFIG, f"config field {path} must be an integer")
+        # sizes, counts and seeds all reach NumPy, which holds no larger integer
+        if value > _INT_MAX:
+            raise CliError(EXIT_CONFIG, f"config field {path} must be at most {_INT_MAX}, got {value}")
     elif isinstance(default, float):
         # JSON's NaN and Infinity parse as floats, and an integer may be past float range
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:

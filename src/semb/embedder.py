@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from . import trainer
@@ -12,6 +15,29 @@ from .pooling import POOLING_MODES, pool
 from .tensor import Tensor, no_grad
 
 __all__ = ["SentenceEmbedder"]
+
+# a call starts one helper thread per this many batches, so short calls
+# such as training-time scoring pay for no thread
+_BATCHES_PER_HELPER = 32
+
+
+def _worker_count() -> int:
+    """Threads that can run batches at once: usable cores per BLAS thread.
+
+    NumPy's kernels release the GIL, so two batches' forward passes can
+    run side by side. With no BLAS thread count in the environment,
+    OpenBLAS already uses every core, so the answer is 1.
+    """
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas = int(blas)
+    except (TypeError, ValueError):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(cores // blas, 1) if blas > 0 else 1
 
 
 class SentenceEmbedder:
@@ -84,6 +110,12 @@ class SentenceEmbedder:
         forward passes run under `no_grad`, so they build no graph and
         keep no gradient memory; each batch's rows have the bits
         `embed_tensor` gives for that batch.
+
+        When the environment pins BLAS to fewer threads than there are
+        usable cores (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`), a
+        call of at least 32 batches also runs batches on helper threads,
+        one per 32 batches up to the idle cores. Each batch is computed
+        as it is serially, so rows keep their bits.
         """
         rows = self.token_ids(texts)
         # one batch pads to its longest row however it is planned, and a
@@ -94,9 +126,34 @@ class SentenceEmbedder:
         else:
             batches = trainer.naive_batches(len(rows), batch_size)
         out = np.empty((len(rows), self.dim), dtype=np.float32)
-        with no_grad():
-            for batch in batches:
-                out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
+        pending = iter(batches)
+        take = threading.Lock()
+        errors = []
+
+        def drain():
+            # grad mode is per thread, so every thread turns it off itself
+            try:
+                with no_grad():
+                    while not errors:
+                        with take:
+                            batch = next(pending, None)
+                        if batch is None:
+                            return
+                        out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
+            except BaseException as exc:  # re-raised in the caller once every thread has stopped
+                errors.append(exc)
+
+        helpers = [
+            threading.Thread(target=drain, name="semb-embed", daemon=True)
+            for _ in range(min(_worker_count() - 1, len(batches) // _BATCHES_PER_HELPER))
+        ]
+        for thread in helpers:
+            thread.start()
+        drain()
+        for thread in helpers:
+            thread.join()
+        if errors:
+            raise errors[0]
         return out
 
     def save(self, path, objective: dict | None = None, steps: int = 0) -> None:

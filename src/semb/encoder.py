@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, asdict, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class Vocab:
         """Token ids wrapped in cls/sep; interior truncated to max_len - 2."""
         if max_len < 2:
             raise ValueError(f"max_len must be at least 2, got {max_len}")
-        inner = [self.id_of(tok) for tok in tokenize(text)][: max_len - 2]
-        return [CLS_ID] + inner + [SEP_ID]
+        # truncate before the lookup, so an over-long text maps only the tokens it keeps
+        return [CLS_ID, *map(self._id_of.get, tokenize(text)[: max_len - 2], repeat(UNK_ID)), SEP_ID]
 
     @classmethod
     def from_corpus(cls, texts, min_count: int = 1, max_size: int | None = None) -> "Vocab":

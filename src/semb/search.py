@@ -48,7 +48,7 @@ __all__ = [
 STORE_MAGIC = b"SEMV"
 STORE_VERSION = 1
 
-# rows scored per GEMM block in the all-pairs scan
+# rows, and columns, of one GEMM tile in the all-pairs scan
 _BLOCK_ROWS = 512
 
 
@@ -257,37 +257,41 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
         raise ValueError(f"most_similar_pair needs at least 2 vectors, got {n}")
     norms, dead, _ = store._normalized()
     unit = store.matrix.astype(np.float64) / np.where(dead, 1.0, norms)[:, None]
-    dead_rows = np.flatnonzero(dead)
     # A GEMM score and a pair's own dot product are each within
     # (dim+2)*2^-53 of the exact dot product of the unit rows, so the pair
     # that is best by its own dot product has a GEMM score within four
     # times that of the GEMM's best.
     margin = 4 * (store.dim + 2) * 2.0**-53
+    lower = np.tri(_BLOCK_ROWS, dtype=bool)
 
     best_score = -np.inf
     best = (0, 1)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        # row i of the block against every row j >= start; j <= i is masked
-        scores = unit[start:stop] @ unit[start:].T
-        scores[:, : stop - start][np.tri(stop - start, dtype=bool)] = -np.inf
-        scores[:, dead_rows[dead_rows >= start] - start] = -np.inf
-        scores[dead[start:stop]] = -np.inf
-        row_best = scores.max(axis=1)
-        top = row_best.max()
-        if not top > best_score - margin:  # NaN skips the block, as -inf does
-            continue
-        # GEMM bits depend on a pair's tile position, so equal rows can
-        # score an ulp apart there; re-score the near-best pairs on their own
-        rows = np.flatnonzero(row_best >= top - margin)
-        r, j = np.nonzero(scores[rows] >= top - margin)
-        i = rows[r] + start
-        j += start
-        exact = np.sum(unit[i] * unit[j], axis=1)
-        pick = np.lexsort((j, i, -exact))[0]
-        if exact[pick] > best_score:  # earlier blocks hold the earlier rows
-            best_score = float(exact[pick])
-            best = (int(i[pick]), int(j[pick]))
+    # square tiles of rows i against rows j >= i, so a tile's scores take
+    # the same memory whatever n is
+    for r0 in range(0, n, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        for c0 in range(r0, n, _BLOCK_ROWS):
+            c1 = min(c0 + _BLOCK_ROWS, n)
+            scores = unit[r0:r1] @ unit[c0:c1].T
+            if c0 == r0:  # j <= i is masked
+                scores[lower[: r1 - r0, : c1 - c0]] = -np.inf
+            scores[:, dead[c0:c1]] = -np.inf
+            scores[dead[r0:r1]] = -np.inf
+            top = scores.max()
+            if not top > best_score - margin:  # NaN skips the tile, as -inf does
+                continue
+            # GEMM bits depend on a pair's tile position, so equal rows can
+            # score an ulp apart there; re-score the near-best pairs on their own
+            i, j = np.nonzero(scores >= top - margin)
+            i += r0
+            j += c0
+            exact = np.sum(unit[i] * unit[j], axis=1)
+            pick = np.lexsort((j, i, -exact))[0]
+            pair = (int(i[pick]), int(j[pick]))
+            # a later tile can hold an earlier pair (a smaller i in a later column tile)
+            if exact[pick] > best_score or (exact[pick] == best_score and pair < best):
+                best_score = float(exact[pick])
+                best = pair
     ids = store._ids
     return MostSimilarResult(id_a=ids[best[0]], id_b=ids[best[1]], score=best_score, comparisons=n * (n - 1) // 2)
 

@@ -186,6 +186,22 @@ def test_out_of_range_config_value_exits_2_naming_the_field(
 
 
 @pytest.mark.parametrize(
+    "field",
+    ["encoder.dim", "encoder.n_layers", "encoder.n_heads", "encoder.ffn_dim", "encoder.max_seq_len",
+     "train.epochs", "train.batch_size", "train.seed", "eval.folds", "eval.seed", "eval.probe_epochs"],
+)
+def test_integer_past_numpy_range_exits_2_naming_the_field(workspace, capsys, field):
+    code, out, _ = run_cli(
+        capsys,
+        ["train", "--data.train", str(workspace / "train.jsonl"), f"--{field}", str(10**29),
+         "--runs-root", str(workspace / "runs"), "--name", "huge", "--quiet"],
+    )
+    assert code == 2
+    message = json.loads(out)["error"]["message"]
+    assert field in message and "at most" in message
+
+
+@pytest.mark.parametrize(
     "change",
     [{"n_heads": 3}, {"colour": "red"}, {"vocab_size": None}],
     ids=["n_heads-does-not-divide-dim", "unknown-key", "missing-vocab-size"],

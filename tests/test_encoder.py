@@ -50,6 +50,17 @@ def test_vocab_encode_wraps_and_truncates():
     assert v.encode("", max_len=8) == [CLS_ID, SEP_ID]
 
 
+def test_vocab_encode_matches_a_token_by_token_lookup():
+    v = Vocab(["a", "b", "c", ",", "word"])
+    rng = np.random.default_rng(0)
+    pool = ["a", "b", "c", ",", "word", "zzz", "Word", "unknown", "?"]  # some map to unk
+    for max_len in (2, 3, 8, 16):
+        for n_tokens in range(0, 24, 3):  # past max_len - 2, so some texts are truncated
+            text = " ".join(rng.choice(pool, size=n_tokens))
+            want = [CLS_ID] + [v.id_of(tok) for tok in tokenize(text)][: max_len - 2] + [SEP_ID]
+            assert v.encode(text, max_len) == want
+
+
 def test_vocab_from_corpus_orders_by_frequency_then_alphabet():
     v = Vocab.from_corpus(["b b a", "a b c"])
     assert v.id_of("b") == 4  # count 3

@@ -298,6 +298,18 @@ def test_most_similar_pair_blocking_does_not_change_answer(monkeypatch):
     assert blocked.comparisons == 23 * 22 // 2
 
 
+def test_most_similar_pair_tie_prefers_the_earlier_pair_from_a_later_tile(monkeypatch):
+    # with 2-row tiles, (1, 2) sits in the tile of columns 2-3, visited before
+    # the tile of columns 4-5 that holds the earlier pair (0, 4); both score exactly 1
+    rows = np.eye(4, dtype=np.float32)[[0, 1, 1, 2, 0, 3]]
+    store = VectorStore(4)
+    store.add_many([f"r{i}" for i in range(6)], rows)
+    monkeypatch.setattr(semb.search, "_BLOCK_ROWS", 2)
+    result = most_similar_pair(store)
+    assert (result.id_a, result.id_b, result.score) == ("r0", "r4", 1.0)
+    assert result.comparisons == 15
+
+
 def test_most_similar_pair_finds_planted_duplicate():
     store = random_store(30, 6, seed=11)
     store.add("dupe-a", store.get("v0007") * 2.0)  # same direction as v0007
