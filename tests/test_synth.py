@@ -1,6 +1,34 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from semb import synth
+
+# sha256 of each seed's corpus, serialized by `_corpus_digest`.  A seed must
+# give the same corpus in every version: benchmarks and acceptance gates
+# compare runs across versions on these inputs.
+GOLDEN = {
+    0: "825b41ce03b0ee335e3d8f73d7724e71828998c20c9c9283e85f978eff7c94e5",
+    7: "904994f01b476c1e63ab5ec2149a46e3f37e4d04f0bb9e2b6fe3734c130a9be4",
+    123456789: "6661289db8aa97bf8723033a01f2b56989c9c9a5710e48fa2209107dc5bd287c",
+}
+
+
+def _corpus_digest(seed):
+    corpus = {
+        "sts": [dataclasses.astuple(p) for p in synth.make_sts_pairs(300, seed)],
+        "nli": synth.make_nli_pairs(300, seed),
+        "triplets": [dataclasses.astuple(t) for t in synth.make_triplets(300, seed)],
+        "skewed": synth.make_length_skewed_corpus(60, seed),
+    }
+    return hashlib.sha256(json.dumps(corpus).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_corpora_match_their_golden_digest(seed):
+    assert _corpus_digest(seed) == GOLDEN[seed]
 
 
 def test_sts_pairs_deterministic_and_sized():
