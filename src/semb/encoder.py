@@ -137,6 +137,13 @@ class EncoderConfig:
             raise ValueError("vocab_size must cover the four reserved ids")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        # every weight matrix is dim x one of these, first drawn as float64
+        widest = max(("dim", "ffn_dim", "max_seq_len", "vocab_size"), key=lambda name: getattr(self, name))
+        if self.dim * getattr(self, widest) * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"{widest} is too large: a {self.dim} x {getattr(self, widest)} weight "
+                "is past the largest array NumPy can hold"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,9 +6,15 @@ exact similarity gold standard (the cosine between them).  A fourth
 generator builds clustered triplets whose untrained baseline is calibrated
 to chance, and a fifth builds a length-skewed corpus for batching
 benchmarks.
+
+A seed gives the same corpus in every version, so runs of two versions
+compare on the same inputs; `tests/test_synth.py` pins a sha256 of each
+generator's output for three seeds.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -65,9 +71,13 @@ def _perturbed(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _sentence(theta: np.ndarray, rng: np.random.Generator, lo: int = 4, hi: int = 12) -> str:
     length = int(rng.integers(lo, hi + 1))
+    # rng.choice(len(TOPICS), p=theta / theta.sum()) draws one rng.random()
+    # and bisects this CDF; building it once per sentence keeps the stream.
+    cdf = (theta / theta.sum()).cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
     words = []
     for _ in range(length):
-        topic = TOPICS[rng.choice(len(TOPICS), p=theta / theta.sum())]
+        topic = TOPICS[bisect_right(cdf, rng.random())]
         words.append(topic[rng.integers(len(topic))])
     return " ".join(words)
 

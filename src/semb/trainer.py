@@ -108,7 +108,7 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    metrics: list  # one {"step", "lr", "loss"} dict per optimizer step
+    metrics: list  # one {"step", "lr", "loss", "grad_norm", "clipped"} dict per optimizer step
     total_steps: int
     label_map: dict | None = None
     final_loss: float = field(default=float("nan"))
@@ -337,7 +337,10 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
                 )
             adam.step(lr)
 
-            record = {"step": step, "lr": lr, "loss": loss_value}
+            record = {
+                "step": step, "lr": lr, "loss": loss_value,
+                "grad_norm": grad_norm, "clipped": cfg.grad_clip > 0 and grad_norm > cfg.grad_clip,
+            }
             metrics.append(record)
             if on_step is not None:
                 on_step(record)

@@ -201,6 +201,19 @@ def test_integer_past_numpy_range_exits_2_naming_the_field(workspace, capsys, fi
     assert field in message and "at most" in message
 
 
+@pytest.mark.parametrize("field", ["encoder.dim", "encoder.ffn_dim", "encoder.max_seq_len"])
+def test_encoder_size_past_numpy_array_limit_exits_2_naming_the_field(workspace, capsys, field):
+    # 2**62 is a valid int64, but a 64 x 2**62 float64 weight has more bytes than NumPy can index
+    code, out, _ = run_cli(
+        capsys,
+        ["train", "--data.train", str(workspace / "train.jsonl"), f"--{field}", str(2**62),
+         "--runs-root", str(workspace / "runs"), "--name", "too-big", "--quiet"],
+    )
+    assert code == 2
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith(f"config field {field} is too large")
+
+
 @pytest.mark.parametrize(
     "change",
     [{"n_heads": 3}, {"colour": "red"}, {"vocab_size": None}],

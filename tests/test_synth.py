@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semb import synth
 
@@ -29,6 +32,36 @@ def _corpus_digest(seed):
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_corpora_match_their_golden_digest(seed):
     assert _corpus_digest(seed) == GOLDEN[seed]
+
+
+def _reference_sentence(theta, rng, lo, hi):
+    # the sampler as first written: one Generator.choice per word
+    length = int(rng.integers(lo, hi + 1))
+    words = []
+    for _ in range(length):
+        topic = synth.TOPICS[rng.choice(len(synth.TOPICS), p=theta / theta.sum())]
+        words.append(topic[rng.integers(len(topic))])
+    return " ".join(words)
+
+
+_weights = st.one_of(st.just(0.0), st.floats(1e-12, 1e6), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.lists(_weights, min_size=len(synth.TOPICS), max_size=len(synth.TOPICS)).filter(lambda t: sum(t) > 0),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sentence_draws_the_topics_and_stream_of_generator_choice(theta, seed):
+    theta = np.array(theta)
+    rng = np.random.default_rng(seed)
+    clone = np.random.default_rng(seed)
+    words = synth._sentence(theta, rng, lo=1, hi=40).split()
+    reference = _reference_sentence(theta, clone, lo=1, hi=40).split()
+    topic_of = {w: i for i, topic in enumerate(synth.TOPICS) for w in topic}
+    assert [topic_of[w] for w in words] == [topic_of[w] for w in reference]
+    assert words == reference
+    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_sts_pairs_deterministic_and_sized():

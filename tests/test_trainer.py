@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,12 +266,26 @@ def test_train_classification_smoke_and_metrics_schema():
     assert result.total_steps == 2 * 3
     assert [m["step"] for m in result.metrics] == list(range(6))
     for m in result.metrics:
-        assert set(m) == {"step", "lr", "loss"}
+        assert set(m) == {"step", "lr", "loss", "grad_norm", "clipped"}
         assert math.isfinite(m["loss"])
         assert m["lr"] >= 0
     assert max(m["lr"] for m in result.metrics) == pytest.approx(1e-3)
     assert result.label_map == {"0": 0, "1": 1}
     assert result.final_loss == result.metrics[-1]["loss"]
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 1e-6, 1.0, 1e6])
+def test_step_records_log_the_pre_clip_norm_and_whether_it_was_clipped(grad_clip):
+    cfg = TrainConfig(objective="classification", lr=1e-3, epochs=2, batch_size=4, seed=5, grad_clip=grad_clip)
+    result = train(tiny_embedder(seed=1), pair_data(), cfg)
+    unclipped = train(tiny_embedder(seed=1), pair_data(), replace(cfg, grad_clip=0.0))
+    # the first step starts from the same weights, so its pre-clip norm cannot depend on the clip
+    assert result.metrics[0]["grad_norm"] == unclipped.metrics[0]["grad_norm"]
+    for m in result.metrics:
+        assert math.isfinite(m["grad_norm"]) and m["grad_norm"] > 0
+        assert m["clipped"] is (grad_clip > 0 and m["grad_norm"] > grad_clip)
+    clipped = {m["clipped"] for m in result.metrics}
+    assert clipped == {0.0: {False}, 1e-6: {True}, 1.0: {False, True}, 1e6: {False}}[grad_clip]
 
 
 def test_train_is_deterministic_under_seed():
