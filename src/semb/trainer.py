@@ -337,10 +337,8 @@ def train(embedder, examples, cfg: TrainConfig, on_step=None, epoch_eval=None) -
                 )
             adam.step(lr)
 
-            record = {
-                "step": step, "lr": lr, "loss": loss_value,
-                "grad_norm": grad_norm, "clipped": cfg.grad_clip > 0 and grad_norm > cfg.grad_clip,
-            }
+            clipped = cfg.grad_clip > 0 and grad_norm > cfg.grad_clip
+            record = {"step": step, "lr": lr, "loss": loss_value, "grad_norm": grad_norm, "clipped": clipped}
             metrics.append(record)
             if on_step is not None:
                 on_step(record)
