@@ -103,6 +103,12 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: manifest missing key {key!r}")
     if not isinstance(manifest["config"], dict):
         raise FormatError(f"{path}: manifest config is not a JSON object")
+    if not isinstance(manifest["pooling"], str):
+        raise FormatError(f"{path}: manifest pooling {manifest['pooling']!r} is not a string")
+    if not isinstance(manifest["include_special"], bool):
+        raise FormatError(f"{path}: manifest include_special {manifest['include_special']!r} is not a boolean")
+    if not isinstance(manifest["vocab"], list) or not all(isinstance(token, str) for token in manifest["vocab"]):
+        raise FormatError(f"{path}: manifest vocab is not a list of strings")
     if not _is_int(manifest["steps"]) or manifest["steps"] < 0:
         raise FormatError(f"{path}: manifest steps {manifest['steps']!r} is not a non-negative integer")
     if not isinstance(manifest["params"], list):

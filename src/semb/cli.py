@@ -1,13 +1,16 @@
 """Command-line entry points for training, evaluation, search, and benchmarks.
 
-Every invocation prints exactly one JSON document to stdout; anything meant
-for people (tables, progress) goes to stderr and `--quiet` silences it.
+Every invocation prints exactly one JSON document to stdout, from `main`
+alone: a command's report, `{"help": ...}` for `--help`, or `{"error": ...}`.
+Anything meant for people (tables, progress, help) goes to stderr and
+`--quiet` silences what commands say there. Each config field is an argparse
+option `--section.key VALUE`, listed by `semb <command> --help`; its value is
+read as JSON, or else kept as a string, and the last flag on the line wins.
 Commands that produce artifacts write them under `runs/<name>/`, starting
-with `effective-config.json` (defaults merged with the config file and any
-`--section.key value` overrides) so a run can be repeated from that file
-alone.
+with `effective-config.json` (defaults merged with the config file and then
+the flags) so a run can be repeated from that file alone.
 
-Exit codes: 2 config error (message names the field), 3 a file that
+Exit codes: 2 config or usage error (message names the field or flag), 3 a file that
 cannot be opened or a data-format error (message names the file, and the
 line where there is one), 4 checkpoint/store dimension mismatch,
 5 degenerate evaluation, 1 anything else.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import operator
 import sys
@@ -162,28 +166,9 @@ def _parse_override_value(raw: str):
         return raw  # bare strings like "mean" or "u,v,abs"; the field's type check rejects the rest
 
 
-def _apply_overrides(cfg: dict, leftovers: list[str]) -> None:
-    i = 0
-    while i < len(leftovers):
-        token = leftovers[i]
-        if not token.startswith("--") or "." not in token:
-            raise CliError(EXIT_CONFIG, f"unrecognized argument {token!r}")
-        dotted = token[2:]
-        if "=" in dotted:
-            dotted, raw = dotted.split("=", 1)
-            i += 1
-        else:
-            if i + 1 >= len(leftovers):
-                raise CliError(EXIT_CONFIG, f"missing value for --{dotted}")
-            raw = leftovers[i + 1]
-            i += 2
-        section, _, key = dotted.partition(".")
-        _merge_section(cfg, section, {key: _parse_override_value(raw)})
-
-
-def _load_config(args, leftovers: list[str]) -> dict:
+def _load_config(args) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path:
         try:
             text = Path(config_path).read_text(encoding="utf-8")
@@ -200,11 +185,10 @@ def _load_config(args, leftovers: list[str]) -> dict:
             raise CliError(EXIT_CONFIG, f"config {config_path} must be a JSON object")
         for section, content in loaded.items():
             _merge_section(cfg, section, content)
-    _apply_overrides(cfg, leftovers)
-    # undotted conveniences from the subcommand surface
-    for flag, (section, key) in _SHORTCUTS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    # the flags, dotted and shortcut alike, store under their field's dotted path
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot:
             _merge_section(cfg, section, {key: value})
     _check_config(cfg)
     return cfg
@@ -227,13 +211,6 @@ def _check_config(cfg: dict) -> None:
                 raise CliError(EXIT_CONFIG, f"config field {path} must be {_BOUND_WORDS[compare]} {bound}, got {value}")
         else:
             _validate_choice(value, rule, path)
-
-
-_SHORTCUTS = {
-    "objective": ("train", "objective"),
-    "epochs": ("train", "epochs"),
-    "seed": ("train", "seed"),
-}
 
 
 def _require(cfg: dict, section: str, key: str, why: str) -> str:
@@ -270,11 +247,10 @@ def _run_dir(args, cfg: dict) -> Path:
     return out
 
 
-def _finish(run_dir: Path, report: dict) -> int:
-    """Write the run's report.json and print the same document."""
+def _finish(run_dir: Path, report: dict) -> dict:
+    """Write the run's report.json; `main` prints the same document."""
     _write_json(run_dir / "report.json", report)
-    _emit(report)
-    return 0
+    return report
 
 
 def _read_corpus(path: str) -> list[str]:
@@ -309,6 +285,14 @@ def _fresh_embedder(cfg: dict, vocab: Vocab, seed: int) -> SentenceEmbedder:
     return SentenceEmbedder(vocab, encoder, **embedder_fields)
 
 
+def _load_or_fresh(cfg: dict, key: str, texts) -> SentenceEmbedder:
+    """The checkpoint data.<key> names, or else a fresh embedder over a vocabulary of `texts`."""
+    path = cfg["data"][key]
+    if path:
+        return SentenceEmbedder.load(path)
+    return _fresh_embedder(cfg, _vocab(cfg, texts), cfg["train"]["seed"])
+
+
 def _scorer(task: str, path: str, cfg: dict):
     """Read an sts, triplet or probe file once; returns a function from embedder to report."""
     settings = cfg["eval"]
@@ -336,17 +320,11 @@ def _scorer(task: str, path: str, cfg: dict):
     return probe
 
 
-def cmd_train(args, cfg: dict) -> int:
+def cmd_train(args, cfg: dict) -> dict:
     objective = cfg["train"]["objective"]
     train_path = _require(cfg, "data", "train", "to train on")
     examples = OBJECTIVES[objective].reader(train_path)
-
-    init_path = cfg["data"]["init_checkpoint"]
-    if init_path:
-        embedder = SentenceEmbedder.load(init_path)
-    else:
-        texts = [text for ex in examples for text in example_texts(ex)]
-        embedder = _fresh_embedder(cfg, _vocab(cfg, texts), cfg["train"]["seed"])
+    embedder = _load_or_fresh(cfg, "init_checkpoint", (text for ex in examples for text in example_texts(ex)))
 
     dev_path = cfg["data"]["dev"]
     dev_eval = _scorer("triplet" if objective == "triplet" else "sts", dev_path, cfg) if dev_path else None
@@ -395,7 +373,7 @@ def _split_flag(raw: str, sep: str) -> list[str]:
     return [part.strip() for part in raw.split(sep) if part.strip()]
 
 
-def cmd_ablate(args, cfg: dict) -> int:
+def cmd_ablate(args, cfg: dict) -> dict:
     poolings = _split_flag(args.poolings, ",")
     modes = _split_flag(args.modes, ";")
     try:
@@ -463,7 +441,7 @@ def cmd_ablate(args, cfg: dict) -> int:
     return _finish(run_dir, report)
 
 
-def cmd_embed(args, cfg: dict) -> int:
+def cmd_embed(args, cfg: dict) -> dict:
     ckpt = _require(cfg, "data", "checkpoint", "to embed with")
     corpus_path = _require(cfg, "data", "corpus", "to embed")
     embedder = SentenceEmbedder.load(ckpt)
@@ -496,7 +474,7 @@ def _sniff_task(path: str) -> str:
     raise CliError(EXIT_DATA, f"eval file {path} is empty")
 
 
-def cmd_eval(args, cfg: dict) -> int:
+def cmd_eval(args, cfg: dict) -> dict:
     ckpt = _require(cfg, "data", "checkpoint", "to evaluate")
     eval_path = _require(cfg, "data", "eval", "to evaluate on")
     task = args.task or _sniff_task(eval_path)
@@ -511,7 +489,7 @@ def cmd_eval(args, cfg: dict) -> int:
     return _finish(run_dir, report)
 
 
-def cmd_search(args, cfg: dict) -> int:
+def cmd_search(args, cfg: dict) -> dict:
     store_path = args.store or cfg["data"]["store"]
     if not store_path:
         raise CliError(EXIT_CONFIG, "config field data.store (or --store) is required to search")
@@ -528,8 +506,7 @@ def cmd_search(args, cfg: dict) -> int:
             "comparisons": result.comparisons,
         }
         _say(args, f"most similar: {result.id_a} / {result.id_b} (cosine {result.score:.4f})")
-        _emit(report)
-        return 0
+        return report
 
     if args.query is None:
         raise CliError(EXIT_CONFIG, "search needs --query TEXT or --pair")
@@ -551,17 +528,13 @@ def cmd_search(args, cfg: dict) -> int:
     }
     for id_, score in hits:
         _say(args, f"{id_:<12} {score:.4f}")
-    _emit(report)
-    return 0
+    return report
 
 
-def cmd_bench(args, cfg: dict) -> int:
+def cmd_bench(args, cfg: dict) -> dict:
     corpus_path = _require(cfg, "data", "corpus", "to benchmark on")
     sentences = _read_corpus(corpus_path)
-    if cfg["data"]["checkpoint"]:
-        embedder = SentenceEmbedder.load(cfg["data"]["checkpoint"])
-    else:
-        embedder = _fresh_embedder(cfg, _vocab(cfg, sentences), cfg["train"]["seed"])
+    embedder = _load_or_fresh(cfg, "checkpoint", sentences)
 
     batch_size = cfg["train"]["batch_size"]
     seed = cfg["train"]["seed"]
@@ -587,7 +560,7 @@ def cmd_bench(args, cfg: dict) -> int:
     return _finish(_run_dir(args, cfg), report)
 
 
-def cmd_inspect(args, cfg: dict) -> int:
+def cmd_inspect(args, cfg: dict) -> dict:
     path = args.checkpoint
     manifest, params = load_checkpoint(path)
     entries = [
@@ -609,20 +582,38 @@ def cmd_inspect(args, cfg: dict) -> int:
     for entry in entries:
         _say(args, f"{entry['name']:<{width}}  {tuple(entry['shape'])}")
     _say(args, f"total parameters: {report['total_parameters']}")
-    _emit(report)
-    return 0
+    return report
 
 
-def _add_common(sub, with_config: bool = True):
+def _add_command(commands, name: str, run, summary: str, with_config: bool = True):
+    """Add subcommand `name`, run as `run(args, cfg)`; a config brings the run flags and one flag per field."""
+    sub = commands.add_parser(name, help=summary)
+    sub.set_defaults(run=run)
     sub.add_argument("--quiet", action="store_true", help="suppress human output on stderr")
     if with_config:
-        sub.add_argument("--config", help="JSON config file; flags like --train.lr override it")
-        sub.add_argument("--name", default=None, help="run name under the runs root")
+        sub.add_argument("--config", help="JSON config file; the flags below override it")
+        sub.add_argument("--name", default=name, help="run name under the runs root (default: the command)")
         sub.add_argument("--runs-root", default="runs", help="directory that holds run outputs")
+        for section, content in _DEFAULTS.items():
+            for key, default in content.items():
+                sub.add_argument(f"--{section}.{key}", type=_parse_override_value, default=argparse.SUPPRESS,
+                                 metavar="VALUE", help=f"config field (default {json.dumps(default)})")
+    return sub
+
+
+class _Help(Exception):
+    """`--help` was given; the exception carries the help text for `main` to print."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 2 through `_fail`, so stdout still holds one JSON document."""
+    """Help and usage errors go through `main`, so stdout still holds one JSON document."""
+
+    def __init__(self, **kwargs):
+        # an abbreviation such as --data.regression must not quietly mean --data.regression_train
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -640,60 +631,47 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache  # a process may call `main` many times, and each parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="semb", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("train", help="train an embedder and save a checkpoint")
-    _add_common(p)
-    p.add_argument("--objective", choices=OBJECTIVES, help="shortcut for --train.objective")
-    p.add_argument("--epochs", type=int, help="shortcut for --train.epochs")
-    p.add_argument("--seed", type=int, help="shortcut for --train.seed")
+    p = _add_command(commands, "train", cmd_train, "train an embedder and save a checkpoint")
+    # the shortcuts store under their field's dotted path, so the last flag given wins
+    p.add_argument("--objective", dest="train.objective", choices=OBJECTIVES, default=argparse.SUPPRESS,
+                   help="shortcut for --train.objective")
+    p.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int, default=argparse.SUPPRESS,
+                   help="shortcut for --train.epochs")
+    p.add_argument("--seed", dest="train.seed", metavar="SEED", type=int, default=argparse.SUPPRESS,
+                   help="shortcut for --train.seed")
 
-    p = commands.add_parser("ablate", help="pooling x combine-mode grid with seed spread")
-    _add_common(p)
+    p = _add_command(commands, "ablate", cmd_ablate, "pooling x combine-mode grid with seed spread")
     p.add_argument("--poolings", default=",".join(POOLING_MODES),
                    help="comma-separated pooling modes")
     p.add_argument("--modes", default=";".join(COMBINE_MODES),
                    help="semicolon-separated combine modes (mode names contain commas)")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated training seeds")
 
-    p = commands.add_parser("embed", help="embed a corpus file into a vector store")
-    _add_common(p)
+    p = _add_command(commands, "embed", cmd_embed, "embed a corpus file into a vector store")
     p.add_argument("--out", help="store path (default <run>/vectors.semv)")
 
-    p = commands.add_parser("eval", help="score a checkpoint on an eval file")
-    _add_common(p)
+    p = _add_command(commands, "eval", cmd_eval, "score a checkpoint on an eval file")
     p.add_argument("--task", choices=("sts", "triplet", "probe"),
                    help="eval task; inferred from the file's fields when omitted")
 
-    p = commands.add_parser("search", help="query a vector store")
-    _add_common(p)
+    p = _add_command(commands, "search", cmd_search, "query a vector store")
     p.add_argument("--store", help="vector store path (or set data.store)")
     p.add_argument("--query", help="sentence to search for")
     p.add_argument("-k", type=_count, default=5, help="number of hits (at least 1)")
     p.add_argument("--pair", action="store_true", help="report the most similar pair instead")
 
-    p = commands.add_parser("bench", help="throughput and padding benchmark")
-    _add_common(p)
+    p = _add_command(commands, "bench", cmd_bench, "throughput and padding benchmark")
     p.add_argument("--paired", action="store_true", help="run smart and naive and report the ratio")
 
-    p = commands.add_parser("inspect", help="dump checkpoint metadata")
+    p = _add_command(commands, "inspect", cmd_inspect, "dump checkpoint metadata", with_config=False)
     p.add_argument("checkpoint", help="checkpoint file to inspect")
-    _add_common(p, with_config=False)
 
     return parser
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "ablate": cmd_ablate,
-    "embed": cmd_embed,
-    "eval": cmd_eval,
-    "search": cmd_search,
-    "bench": cmd_bench,
-    "inspect": cmd_inspect,
-}
 
 
 def _fail(args, exit_code: int, message: str) -> int:
@@ -706,23 +684,19 @@ def _fail(args, exit_code: int, message: str) -> int:
 def main(argv=None) -> int:
     args = None  # until the arguments parse
     try:
-        args, leftovers = _build_parser().parse_known_args(argv)
-        if args.command != "inspect" and getattr(args, "name", None) is None:
-            args.name = args.command
-        if args.command == "inspect":
-            if leftovers:
-                raise CliError(EXIT_CONFIG, f"unrecognized arguments: {' '.join(leftovers)}")
-            cfg = None
-        else:
-            cfg = _load_config(args, leftovers)
-        return _COMMANDS[args.command](args, cfg)
+        args = _build_parser().parse_args(argv)
+        cfg = None if args.command == "inspect" else _load_config(args)
+        _emit(args.run(args, cfg))
+        return 0
+    except _Help as exc:
+        print(exc, end="", file=sys.stderr)
+        _emit({"help": str(exc)})
+        return 0
     except CliError as exc:
         return _fail(args, exc.exit_code, str(exc))
-    except DataFormatError as exc:
-        return _fail(args, EXIT_DATA, str(exc))
     except DimensionMismatchError as exc:
         return _fail(args, EXIT_CHECKPOINT, str(exc))
-    except FormatError as exc:
+    except (DataFormatError, FormatError) as exc:
         return _fail(args, EXIT_DATA, str(exc))
     except DegenerateEvalError as exc:
         return _fail(args, EXIT_DEGENERATE, str(exc))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import _softmax_rows
+
 __all__ = [
     "DegenerateEvalError",
     "ConstantInputError",
@@ -149,12 +151,6 @@ def stratified_folds(labels, k: int, seed: int) -> list[np.ndarray]:
         for slot, index in enumerate(members):
             folds[slot % k].append(int(index))
     return [np.sort(np.array(fold, dtype=np.int64)) for fold in folds]
-
-
-def _softmax_rows(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _fit_logistic(x, y, n_classes, steps, lr, l2):

@@ -257,11 +257,17 @@ def _set_first_param(field, value):
         lambda manifest: manifest.update(steps=-1),
         lambda manifest: manifest.update(steps="40"),
         lambda manifest: manifest.update(config=5),
+        lambda manifest: manifest.update(include_special="no"),
+        lambda manifest: manifest.update(include_special=0),
+        lambda manifest: manifest.update(vocab=[7, 8]),
+        lambda manifest: manifest.update(vocab="ab"),
+        lambda manifest: manifest.update(pooling=3),
     ],
     ids=[
         "offset-string", "offset-float", "params-not-a-list", "shape-not-a-list", "negative-dimension",
         "boolean-dimension", "name-not-a-string", "negative-steps", "steps-string",
-        "config-not-an-object",
+        "config-not-an-object", "include-special-string", "include-special-integer", "vocab-of-integers",
+        "vocab-string", "pooling-not-a-string",
     ],
 )
 def test_malformed_manifest_exits_3_naming_the_file(trained_run, capsys, tmp_path, change):
@@ -734,6 +740,98 @@ def test_usage_error_prints_one_json_document_and_exits_2(capsys, argv, said):
     assert json.loads(out)["error"]["exit_code"] == 2
     assert said in json.loads(out)["error"]["message"]
     assert err.startswith("usage: semb")
+
+
+@pytest.mark.parametrize("command", [None, "train", "ablate", "embed", "eval", "search", "bench", "inspect"])
+def test_help_is_one_json_document_and_the_text_on_stderr(capsys, command):
+    code, out, err = run_cli(capsys, ([command] if command else []) + ["--help"])
+    assert code == 0
+    assert strict_json(out) == {"help": err}
+    assert err.startswith("usage: semb")
+    if command not in (None, "inspect"):
+        assert all(f"--{section}.{key}" in err for section, content in cli._DEFAULTS.items() for key in content)
+
+
+# a valid value other than the default, for the fields where the generic rule below gives none
+_OTHER_VALUES = {
+    "encoder.dim": 128, "encoder.n_heads": 2, "encoder.dropout": 0.1, "encoder.pooling": "max",
+    "train.objective": "triplet", "train.combine_mode": "u,v", "train.target_scale": "symmetric",
+    "eval.similarity": "neg_manhattan", "eval.triplet_metric": "cosine_distance",
+}
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, content in cli._DEFAULTS.items() for key in content])
+def test_every_config_field_has_a_dotted_flag_that_reaches_the_effective_config(
+    workspace, trained_run, capsys, tmp_path, section, key
+):
+    default = cli._DEFAULTS[section][key]
+    path = f"{section}.{key}"
+    if path in _OTHER_VALUES:
+        value = _OTHER_VALUES[path]
+    elif default is None:
+        value = str(tmp_path / path)
+    elif isinstance(default, bool):
+        value = not default
+    elif isinstance(default, int):
+        value = default + 1
+    else:
+        value = default / 2
+    assert value != default
+    # embed reads these two; the flag under test comes last and names a copy
+    (tmp_path / "data.checkpoint").write_bytes((trained_run / "checkpoint.semb").read_bytes())
+    (tmp_path / "data.corpus").write_bytes((workspace / "corpus.txt").read_bytes())
+    code, _, _ = run_cli(
+        capsys,
+        ["embed", "--data.checkpoint", str(trained_run / "checkpoint.semb"),
+         "--data.corpus", str(workspace / "corpus.txt"), "--runs-root", str(tmp_path / "runs"), "--quiet",
+         f"--{path}", value if isinstance(value, str) else json.dumps(value)],
+    )
+    assert code == 0
+    assert strict_json((tmp_path / "runs" / "embed" / "effective-config.json").read_text())[section][key] == value
+
+
+def test_an_abbreviated_dotted_flag_exits_2_naming_it_and_writes_no_run(workspace, capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys,
+        ["train", "--data.train", str(workspace / "train.jsonl"), "--data.regression", "x",
+         "--runs-root", str(tmp_path / "runs"), "--quiet"] + TINY,
+    )
+    assert code == 2
+    assert "--data.regression" in strict_json(out)["error"]["message"]
+    assert err.startswith("usage: semb")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, epochs",
+    [(["--train.epochs", "2", "--train.epochs", "1"], 1), (["--epochs", "1", "--train.epochs", "2"], 2),
+     (["--train.epochs", "2", "--epochs", "1"], 1)],
+    ids=["dotted-twice", "shortcut-then-dotted", "dotted-then-shortcut"],
+)
+def test_the_last_flag_for_a_field_wins(workspace, capsys, tmp_path, flags, epochs):
+    code, out, _ = run_cli(
+        capsys,
+        ["train", "--data.train", str(workspace / "train.jsonl"), "--runs-root", str(tmp_path), "--quiet"]
+        + TINY + flags,
+    )
+    assert code == 0
+    assert strict_json(out)["epochs"] == epochs
+    assert strict_json((tmp_path / "train" / "effective-config.json").read_text())["train"]["epochs"] == epochs
+
+
+def test_a_dotted_flag_takes_its_value_after_an_equals_sign(workspace, trained_run, capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys,
+        command_argv("embed", workspace, trained_run) + ["--train.lr=3e-4", "--runs-root", str(tmp_path), "--quiet"],
+    )
+    assert code == 0
+    assert strict_json((tmp_path / "embed" / "effective-config.json").read_text())["train"]["lr"] == 3e-4
+
+
+def test_inspect_refuses_a_config_flag(trained_run, capsys):
+    code, out, _ = run_cli(capsys, ["inspect", str(trained_run / "checkpoint.semb"), "--train.lr", "3", "--quiet"])
+    assert code == 2
+    assert "--train.lr" in strict_json(out)["error"]["message"]
 
 
 # each data field, read by a command that needs it, beside the files that command also needs
