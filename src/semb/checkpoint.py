@@ -24,8 +24,9 @@ import numpy as np
 
 from .binio import ByteReader, FormatError, pack_block, pack_u32, write_atomic
 from .data import JSON_ERRORS
+from .encoder import EncoderConfig
 
-__all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint", "encoder_config"]
 
 MAGIC = b"SEMB"
 VERSION = 1
@@ -109,6 +110,8 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: manifest include_special {manifest['include_special']!r} is not a boolean")
     if not isinstance(manifest["vocab"], list) or not all(isinstance(token, str) for token in manifest["vocab"]):
         raise FormatError(f"{path}: manifest vocab is not a list of strings")
+    if manifest["objective"] is not None and not isinstance(manifest["objective"], dict):
+        raise FormatError(f"{path}: manifest objective {manifest['objective']!r} is not a JSON object or null")
     if not _is_int(manifest["steps"]) or manifest["steps"] < 0:
         raise FormatError(f"{path}: manifest steps {manifest['steps']!r} is not a non-negative integer")
     if not isinstance(manifest["params"], list):
@@ -136,3 +139,11 @@ def load_checkpoint(path):
         params[entry["name"]] = reader.f32_array(math.prod(shape)).reshape(shape)
     reader.verify_crc_trailer(start=payload_start)
     return manifest, params
+
+
+def encoder_config(path, manifest: dict) -> EncoderConfig:
+    """The manifest's encoder config; one that `EncoderConfig` refuses is a FormatError naming the file."""
+    try:
+        return EncoderConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: manifest config rejected: {exc}") from None

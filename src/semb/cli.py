@@ -32,7 +32,7 @@ import numpy as np
 
 from semb.binio import DimensionMismatchError, FormatError, write_atomic
 from semb.checkpoint import VERSION as CHECKPOINT_VERSION
-from semb.checkpoint import load_checkpoint
+from semb.checkpoint import encoder_config, load_checkpoint
 from semb.data import (
     JSON_ERRORS,
     DataFormatError,
@@ -563,6 +563,7 @@ def cmd_bench(args, cfg: dict) -> dict:
 def cmd_inspect(args, cfg: dict) -> dict:
     path = args.checkpoint
     manifest, params = load_checkpoint(path)
+    encoder_config(path, manifest)  # report only what `SentenceEmbedder.load` would accept
     entries = [
         {"name": name, "shape": list(array.shape)} for name, array in params.items()
     ]
@@ -620,6 +621,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(EXIT_CONFIG, f"{self.prog}: {message}")
 
 
+class _CommandParser(_ArgumentParser):
+    """A subcommand refuses its own leftover arguments, so the usage line shown is the command's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _count(text: str) -> int:
     """An argparse type: an int of at least 1, so a bad -k is a usage error before any file opens."""
     try:
@@ -634,7 +645,7 @@ def _count(text: str) -> int:
 @functools.cache  # a process may call `main` many times, and each parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="semb", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = _add_command(commands, "train", cmd_train, "train an embedder and save a checkpoint")
     # the shortcuts store under their field's dotted path, so the last flag given wins

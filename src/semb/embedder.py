@@ -9,20 +9,20 @@ import numpy as np
 
 from . import trainer
 from .binio import FormatError
-from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, EncoderConfig, Vocab
+from .checkpoint import encoder_config, load_checkpoint, save_checkpoint
+from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, Vocab
 from .pooling import POOLING_MODES, pool
 from .tensor import Tensor, no_grad
 
 __all__ = ["SentenceEmbedder"]
 
-# a call starts one helper thread per this many batches, so short calls
-# such as training-time scoring pay for no thread
+# a call starts one helper thread per this many jobs (batches or scan
+# tiles), so short calls such as training-time scoring pay for no thread
 _BATCHES_PER_HELPER = 32
 
 
 def _worker_count() -> int:
-    """Threads that can run batches at once: usable cores per BLAS thread.
+    """Threads that can run jobs at once: usable cores per BLAS thread.
 
     NumPy's kernels release the GIL, so two batches' forward passes can
     run side by side. With no BLAS thread count in the environment,
@@ -38,6 +38,40 @@ def _worker_count() -> int:
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
     return max(cores // blas, 1) if blas > 0 else 1
+
+
+def _run_jobs(jobs, work) -> None:
+    """Call `work(job)` for each job, taken in order, on this thread and on helpers.
+
+    One helper per `_BATCHES_PER_HELPER` jobs, up to the idle cores; the
+    first error from any thread is re-raised once all have stopped.
+    """
+    pending = iter(jobs)
+    take = threading.Lock()
+    errors = []
+
+    def drain():
+        try:
+            while not errors:
+                with take:
+                    job = next(pending, None)
+                if job is None:
+                    return
+                work(job)
+        except BaseException as exc:  # re-raised in the caller once every thread has stopped
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=drain, name="semb-embed", daemon=True)
+        for _ in range(min(_worker_count() - 1, len(jobs) // _BATCHES_PER_HELPER))
+    ]
+    for thread in helpers:
+        thread.start()
+    drain()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 class SentenceEmbedder:
@@ -126,34 +160,13 @@ class SentenceEmbedder:
         else:
             batches = trainer.naive_batches(len(rows), batch_size)
         out = np.empty((len(rows), self.dim), dtype=np.float32)
-        pending = iter(batches)
-        take = threading.Lock()
-        errors = []
 
-        def drain():
+        def run(batch):
             # grad mode is per thread, so every thread turns it off itself
-            try:
-                with no_grad():
-                    while not errors:
-                        with take:
-                            batch = next(pending, None)
-                        if batch is None:
-                            return
-                        out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
-            except BaseException as exc:  # re-raised in the caller once every thread has stopped
-                errors.append(exc)
+            with no_grad():
+                out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
 
-        helpers = [
-            threading.Thread(target=drain, name="semb-embed", daemon=True)
-            for _ in range(min(_worker_count() - 1, len(batches) // _BATCHES_PER_HELPER))
-        ]
-        for thread in helpers:
-            thread.start()
-        drain()
-        for thread in helpers:
-            thread.join()
-        if errors:
-            raise errors[0]
+        _run_jobs(batches, run)
         return out
 
     def save(self, path, objective: dict | None = None, steps: int = 0) -> None:
@@ -173,7 +186,7 @@ class SentenceEmbedder:
         manifest, params = load_checkpoint(path)
         # the CRC covers only the tensor payload, so a manifest can parse and still be wrong
         try:
-            encoder = Encoder(EncoderConfig.from_dict(manifest["config"]))
+            encoder = Encoder(encoder_config(path, manifest))
             model = cls(Vocab(manifest["vocab"]), encoder, manifest["pooling"], manifest["include_special"])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: manifest rejected: {exc}") from None

@@ -8,9 +8,10 @@ A store keeps one contiguous float32 matrix and, built on first use
 after an add, its float64 row norms, zero-norm mask and float32 unit
 rows. `top_k` scores the unit rows in float32, then re-scores in float64
 only rows that could reach the top k, so it returns what a float64 sort
-of every row would. `most_similar_pair` scans the float64 cosine
-matrix's upper triangle in blocks of rows, then re-scores the pairs
-near each block's best one pair at a time, so equal rows tie exactly.
+of every row would. `most_similar_pair` scores the upper triangle in
+float32 tiles of the unit rows, on helper threads by `embed`'s rule,
+then re-scores in float64 only pairs near the best so far, one pair at
+a time, so it gives a float64 scan's answer and equal rows tie exactly.
 
 The store serializes to a single binary file (magic "SEMV"): u32
 version, u32 dim, u64 count, a length-prefixed newline-joined id block,
@@ -19,6 +20,7 @@ count*dim little-endian float32 values, CRC-32 trailer.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -34,6 +36,7 @@ from .binio import (
     pack_u64,
     write_atomic,
 )
+from .embedder import _run_jobs
 from .trainer import naive_batches, padded_token_count, smart_batches
 
 __all__ = [
@@ -255,45 +258,49 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
     n = len(store)
     if n < 2:
         raise ValueError(f"most_similar_pair needs at least 2 vectors, got {n}")
-    norms, dead, _ = store._normalized()
-    unit = store.matrix.astype(np.float64) / np.where(dead, 1.0, norms)[:, None]
-    # A GEMM score and a pair's own dot product are each within
-    # (dim+2)*2^-53 of the exact dot product of the unit rows, so the pair
-    # that is best by its own dot product has a GEMM score within four
-    # times that of the GEMM's best.
-    margin = 4 * (store.dim + 2) * 2.0**-53
+    norms, dead, unit = store._normalized()
+    scale = np.where(dead, 1.0, norms)
+    # A float32 GEMM score of float32-rounded unit rows lies within about
+    # (dim+2)*2^-24 of the exact cosine, so the pair best by exact score
+    # lies within twice that of its tile's float32 maximum, and a tile
+    # whose maximum is that far below a found score holds no better pair.
+    margin = 4 * (store.dim + 2) * 2.0**-24
     lower = np.tri(_BLOCK_ROWS, dtype=bool)
+    best = [-np.inf, (0, 1)]  # an exact score found so far, a lower bound whenever read, and its pair
+    lock = threading.Lock()
 
-    best_score = -np.inf
-    best = (0, 1)
-    # square tiles of rows i against rows j >= i, so a tile's scores take
-    # the same memory whatever n is
-    for r0 in range(0, n, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, n)
-        for c0 in range(r0, n, _BLOCK_ROWS):
-            c1 = min(c0 + _BLOCK_ROWS, n)
-            scores = unit[r0:r1] @ unit[c0:c1].T
-            if c0 == r0:  # j <= i is masked
-                scores[lower[: r1 - r0, : c1 - c0]] = -np.inf
+    def scan(tile):
+        r0, c0 = tile
+        r1, c1 = min(r0 + _BLOCK_ROWS, n), min(c0 + _BLOCK_ROWS, n)
+        scores = unit[r0:r1] @ unit[c0:c1].T
+        if c0 == r0:  # j <= i is masked
+            scores[lower[: r1 - r0, : c1 - c0]] = -np.inf
+        if dead.any():
             scores[:, dead[c0:c1]] = -np.inf
             scores[dead[r0:r1]] = -np.inf
-            top = scores.max()
-            if not top > best_score - margin:  # NaN skips the tile, as -inf does
-                continue
-            # GEMM bits depend on a pair's tile position, so equal rows can
-            # score an ulp apart there; re-score the near-best pairs on their own
-            i, j = np.nonzero(scores >= top - margin)
-            i += r0
-            j += c0
-            exact = np.sum(unit[i] * unit[j], axis=1)
-            pick = np.lexsort((j, i, -exact))[0]
-            pair = (int(i[pick]), int(j[pick]))
+        top = float(scores.max())
+        if not top > best[0] - margin:  # NaN skips the tile, as -inf does
+            return
+        i, j = np.divmod(np.flatnonzero(scores >= top - margin), c1 - c0)
+        i += r0
+        j += c0
+        # float64 unit rows of the candidates alone, with a whole-matrix division's bits;
+        # scored one pair at a time, equal rows tie exactly wherever their tiles sit
+        ui = store.matrix[i].astype(np.float64) / scale[i][:, None]
+        uj = store.matrix[j].astype(np.float64) / scale[j][:, None]
+        exact = np.sum(ui * uj, axis=1)
+        pick = np.lexsort((j, i, -exact))[0]
+        found = (float(exact[pick]), (int(i[pick]), int(j[pick])))
+        with lock:
             # a later tile can hold an earlier pair (a smaller i in a later column tile)
-            if exact[pick] > best_score or (exact[pick] == best_score and pair < best):
-                best_score = float(exact[pick])
-                best = pair
-    ids = store._ids
-    return MostSimilarResult(id_a=ids[best[0]], id_b=ids[best[1]], score=best_score, comparisons=n * (n - 1) // 2)
+            if found[0] > best[0] or (found[0] == best[0] and found[1] < best[1]):
+                best[:] = found
+
+    # square tiles of rows i against rows j >= i, so a tile's scores take
+    # the same memory whatever n is
+    _run_jobs([(r0, c0) for r0 in range(0, n, _BLOCK_ROWS) for c0 in range(r0, n, _BLOCK_ROWS)], scan)
+    i, j = best[1]
+    return MostSimilarResult(id_a=store._ids[i], id_b=store._ids[j], score=best[0], comparisons=n * (n - 1) // 2)
 
 
 def bench_embedding(embedder, texts, batch_size: int = 32, smart: bool = True, seed: int = 0) -> dict:

@@ -262,12 +262,14 @@ def _set_first_param(field, value):
         lambda manifest: manifest.update(vocab=[7, 8]),
         lambda manifest: manifest.update(vocab="ab"),
         lambda manifest: manifest.update(pooling=3),
+        lambda manifest: manifest.update(config={"dim": -3, "vocab_size": "many"}),
+        lambda manifest: manifest.update(objective=5),
     ],
     ids=[
         "offset-string", "offset-float", "params-not-a-list", "shape-not-a-list", "negative-dimension",
         "boolean-dimension", "name-not-a-string", "negative-steps", "steps-string",
         "config-not-an-object", "include-special-string", "include-special-integer", "vocab-of-integers",
-        "vocab-string", "pooling-not-a-string",
+        "vocab-string", "pooling-not-a-string", "config-encoder-refuses", "objective-not-an-object",
     ],
 )
 def test_malformed_manifest_exits_3_naming_the_file(trained_run, capsys, tmp_path, change):
@@ -800,6 +802,15 @@ def test_an_abbreviated_dotted_flag_exits_2_naming_it_and_writes_no_run(workspac
     assert "--data.regression" in strict_json(out)["error"]["message"]
     assert err.startswith("usage: semb")
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv", [["train"], ["embed"], ["search"], ["inspect", "model.semb"]])
+def test_an_unknown_flag_prints_the_commands_usage_line(capsys, argv):
+    command = argv[0]
+    code, out, err = run_cli(capsys, argv + ["--data.regression", "x"])
+    assert code == 2
+    assert strict_json(out)["error"]["message"] == f"semb {command}: unrecognized arguments: --data.regression x"
+    assert err.startswith(f"usage: semb {command} ")
 
 
 @pytest.mark.parametrize(

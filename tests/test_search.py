@@ -1,4 +1,10 @@
+import json
+import os
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semb
+import semb.embedder
 import semb.search
 from semb.binio import (
     ChecksumError,
@@ -452,6 +460,136 @@ def test_most_similar_pair_reports_the_earliest_copy_of_the_best_pair(seed, bloc
         assert got.score == pytest.approx(cos[a, b], abs=1e-12)
         assert got.score >= cos[np.triu_indices(len(rows), 1)].max() - 1e-12
     assert got.comparisons == len(rows) * (len(rows) - 1) // 2
+
+
+def float64_closest_pair(store, block_rows):
+    """The float64 tile scan that float32 tiles replaced, kept as the reference answer."""
+    n = len(store)
+    norms, dead, _ = store._normalized()
+    unit = store.matrix.astype(np.float64) / np.where(dead, 1.0, norms)[:, None]
+    margin = 4 * (store.dim + 2) * 2.0**-53
+    lower = np.tri(block_rows, dtype=bool)
+    best_score = -np.inf
+    best = (0, 1)
+    for r0 in range(0, n, block_rows):
+        r1 = min(r0 + block_rows, n)
+        for c0 in range(r0, n, block_rows):
+            c1 = min(c0 + block_rows, n)
+            scores = unit[r0:r1] @ unit[c0:c1].T
+            if c0 == r0:
+                scores[lower[: r1 - r0, : c1 - c0]] = -np.inf
+            scores[:, dead[c0:c1]] = -np.inf
+            scores[dead[r0:r1]] = -np.inf
+            top = scores.max()
+            if not top > best_score - margin:
+                continue
+            i, j = np.nonzero(scores >= top - margin)
+            i += r0
+            j += c0
+            exact = np.sum(unit[i] * unit[j], axis=1)
+            pick = np.lexsort((j, i, -exact))[0]
+            pair = (int(i[pick]), int(j[pick]))
+            if exact[pick] > best_score or (exact[pick] == best_score and pair < best):
+                best_score = float(exact[pick])
+                best = pair
+    ids = store.ids
+    return MostSimilarResult(ids[best[0]], ids[best[1]], best_score, n * (n - 1) // 2)
+
+
+def ulp_store(seed):
+    """Copies of a few rows moved 1-3 float32 ulps apart, plus scaled copies, zero rows and non-finite rows.
+
+    Rows a few ulps apart have cosines closer than the float32 margin
+    can separate; a row scaled by a power of two has the unit row of its
+    original, so it ties with it exactly. A NaN entry makes a zero-norm
+    row; an inf entry makes a NaN unit row, which skips every tile it
+    sits in.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([3, 8, 33]))
+    base = rng.normal(size=(int(rng.integers(1, 5)), dim)).astype(np.float32)
+    n = int(rng.integers(2, 41))
+    rows = base[rng.integers(0, len(base), n)] * np.float32(2.0) ** rng.integers(-2, 3, (n, 1)).astype(np.float32)
+    moved = (rng.random((n, 1)) < 0.5) & (rng.random((n, dim)) < 0.3)
+    rows.view(np.int32)[...] += (moved * rng.integers(1, 4, (n, dim))).astype(np.int32)  # nonzero entries stay finite
+    rows[rng.random(n) < 0.1] = 0.0
+    for bad in (np.nan, np.inf):
+        if rng.random() < 0.3:
+            rows[rng.integers(n), rng.integers(dim)] = bad
+    store = VectorStore(dim)
+    store.add_many([f"r{i}" for i in range(n)], rows)
+    return store
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the inf rows
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 9), per_helper=st.integers(1, 3))
+def test_float32_tiles_on_helper_threads_give_the_float64_scans_answer(seed, block_rows, per_helper):
+    store = ulp_store(seed)
+    with mock.patch.object(semb.search, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(semb.embedder, "_BATCHES_PER_HELPER", per_helper), \
+            mock.patch.object(semb.embedder, "_worker_count", lambda: 2):
+        got = most_similar_pair(store)
+    assert got == float64_closest_pair(store, block_rows)
+    assert [t for t in threading.enumerate() if t.name == "semb-embed"] == []
+
+
+def test_a_tile_that_fails_on_a_helper_thread_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
+    helper_took_a_tile = threading.Event()
+    run_jobs = semb.search._run_jobs
+
+    def failing_on_the_helper(jobs, work):
+        def tile(job):
+            if threading.current_thread().name == "semb-embed":
+                helper_took_a_tile.set()
+                raise RuntimeError("boom in a tile")
+            helper_took_a_tile.wait(10.0)  # so the caller cannot drain every tile first
+            work(job)
+
+        run_jobs(jobs, tile)
+
+    monkeypatch.setattr(semb.search, "_run_jobs", failing_on_the_helper)
+    monkeypatch.setattr(semb.search, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(semb.embedder, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="boom in a tile"):
+        most_similar_pair(random_store(80, 4, seed=3))  # 820 tiles, so one helper starts
+    assert helper_took_a_tile.is_set()
+    assert [t for t in threading.enumerate() if t.name == "semb-embed"] == []
+
+
+PAIR_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import semb.embedder
+from semb.search import VectorStore, most_similar_pair
+rng = np.random.default_rng(5)
+rows = rng.normal(size=(4100, 16)).astype(np.float32)
+rows[4099] = rows[17] * np.float32(4.0)  # three pairs tie exactly; (17, 901) is the earliest
+rows[901] = rows[17]
+rows[3000] = rows[2] + np.float32(1e-3)
+store = VectorStore(16)
+store.add_many([f"s{i:04d}" for i in range(len(rows))], rows)
+r = most_similar_pair(store)
+print(json.dumps({"pair": [r.id_a, r.id_b, repr(r.score)], "workers": semb.embedder._worker_count()}))
+"""
+
+
+def test_the_pair_is_the_same_with_blas_pinned_to_one_thread_and_unset():
+    """Pinned to 1 BLAS thread, the 45 tiles of 4,100 rows run on a helper thread too; unset, serially."""
+    src = Path(semb.__file__).resolve().parents[1]
+    results = {}
+    for pinned in (True, False):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", PAIR_CHILD, str(src)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results[pinned] = json.loads(proc.stdout)
+    assert results[True]["workers"] == len(os.sched_getaffinity(0))
+    assert results[False]["workers"] == 1
+    assert results[True]["pair"] == results[False]["pair"] == ["s0017", "s0901", "1.0"]
 
 
 @settings(max_examples=200, deadline=None)
