@@ -22,7 +22,6 @@ import argparse
 import copy
 import functools
 import json
-import operator
 import sys
 import traceback
 from dataclasses import fields
@@ -45,14 +44,7 @@ from semb.data import (
 )
 from semb.embedder import SentenceEmbedder
 from semb.encoder import Encoder, EncoderConfig, Vocab
-from semb.evaluation import (
-    DegenerateEvalError,
-    SIMILARITY_METRICS,
-    TRIPLET_METRICS,
-    evaluate_similarity,
-    probe_accuracy,
-    triplet_accuracy,
-)
+from semb.evaluation import DegenerateEvalError, EvalConfig, evaluate_similarity, probe_accuracy, triplet_accuracy
 from semb.objectives import COMBINE_MODES
 from semb.pooling import POOLING_MODES
 from semb.search import VectorStore, bench_embedding, embed_corpus, most_similar_pair, top_k
@@ -77,8 +69,8 @@ class CliError(Exception):
 # The full config schema with its defaults. Validation walks this: any
 # key not present here is rejected with its dotted path, and each value
 # must match the default's type (paths are strings, null until set).
-# The encoder and train sections are the dataclasses' own fields; the
-# encoder section adds the embedder's pooling settings.
+# The encoder, train and eval sections are the dataclasses' own fields;
+# the encoder section adds the embedder's pooling settings.
 _EMBEDDER_FIELDS = {"pooling": "mean", "include_special": True}
 _DEFAULTS = {
     "encoder": {
@@ -86,15 +78,7 @@ _DEFAULTS = {
         **_EMBEDDER_FIELDS,
     },
     "train": {f.name: f.default for f in fields(TrainConfig)},
-    "eval": {
-        "similarity": "cosine",
-        "triplet_metric": "euclidean",
-        "folds": 10,
-        "seed": 0,
-        "probe_lr": 0.5,
-        "probe_epochs": 300,
-        "probe_l2": 1e-3,
-    },
+    "eval": {f.name: f.default for f in fields(EvalConfig)},
     "data": {
         "train": None,
         "regression_train": None,
@@ -108,19 +92,6 @@ _DEFAULTS = {
     },
 }
 
-# The fields no dataclass checks: dotted path -> its choices, or the
-# comparison its value must pass against a bound.
-_FIELD_RULES = {
-    "encoder.pooling": POOLING_MODES,
-    "eval.similarity": SIMILARITY_METRICS,
-    "eval.triplet_metric": TRIPLET_METRICS,
-    "eval.folds": (operator.ge, 2),
-    "eval.seed": (operator.ge, 0),
-    "eval.probe_epochs": (operator.ge, 1),
-    "eval.probe_lr": (operator.gt, 0.0),
-    "eval.probe_l2": (operator.ge, 0.0),
-}
-_BOUND_WORDS = {operator.ge: "at least", operator.gt: "above"}
 _INT_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -197,20 +168,13 @@ def _load_config(args) -> dict:
 def _check_config(cfg: dict) -> None:
     """Check every field of the merged config, whether or not the command uses it."""
     for section, build in (("encoder", lambda: _encoder_config(cfg, Vocab([]).size)),
-                           ("train", lambda: TrainConfig(**cfg["train"]))):
+                           ("train", lambda: TrainConfig(**cfg["train"])),
+                           ("eval", lambda: EvalConfig(**cfg["eval"]))):
         try:
             build()
         except ValueError as exc:  # the message starts with the field's name
             raise CliError(EXIT_CONFIG, f"config field {section}.{exc}")
-    for path, rule in _FIELD_RULES.items():
-        section, key = path.split(".")
-        value = cfg[section][key]
-        if rule[0] in _BOUND_WORDS:
-            compare, bound = rule
-            if not compare(value, bound):
-                raise CliError(EXIT_CONFIG, f"config field {path} must be {_BOUND_WORDS[compare]} {bound}, got {value}")
-        else:
-            _validate_choice(value, rule, path)
+    _validate_choice(cfg["encoder"]["pooling"], POOLING_MODES, "encoder.pooling")
 
 
 def _require(cfg: dict, section: str, key: str, why: str) -> str:
@@ -231,7 +195,7 @@ def _emit(obj) -> None:
 
 
 def _json_score(score: float) -> float | None:
-    """A score as strict JSON can hold it: a zero-norm row's -inf (or a NaN) becomes null."""
+    """A score as strict JSON can hold it: a dead row's -inf, the only one that is not finite, becomes null."""
     return score if np.isfinite(score) else None
 
 
@@ -490,9 +454,7 @@ def cmd_eval(args, cfg: dict) -> dict:
 
 
 def cmd_search(args, cfg: dict) -> dict:
-    store_path = args.store or cfg["data"]["store"]
-    if not store_path:
-        raise CliError(EXIT_CONFIG, "config field data.store (or --store) is required to search")
+    store_path = _require(cfg, "data", "store", "to search")
     store = VectorStore.load(store_path)
 
     if args.pair:
@@ -671,7 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="eval task; inferred from the file's fields when omitted")
 
     p = _add_command(commands, "search", cmd_search, "query a vector store")
-    p.add_argument("--store", help="vector store path (or set data.store)")
+    p.add_argument("--store", dest="data.store", metavar="PATH", default=argparse.SUPPRESS,
+                   help="shortcut for --data.store")
     p.add_argument("--query", help="sentence to search for")
     p.add_argument("-k", type=_count, default=5, help="number of hits (at least 1)")
     p.add_argument("--pair", action="store_true", help="report the most similar pair instead")

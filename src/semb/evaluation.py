@@ -7,6 +7,8 @@ the same code.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .tensor import _softmax_rows
@@ -24,6 +26,7 @@ __all__ = [
     "triplet_accuracy",
     "stratified_folds",
     "probe_accuracy",
+    "EvalConfig",
 ]
 
 SIMILARITY_METRICS = ("cosine", "neg_euclidean", "neg_manhattan")
@@ -217,3 +220,27 @@ def probe_accuracy(features, labels, k: int = 10, seed: int = 0, steps: int = 30
         "k": k,
         "warnings": warnings,
     }
+
+
+@dataclass
+class EvalConfig:
+    """The metrics and linear-probe settings that evaluation runs with."""
+
+    similarity: str = "cosine"
+    triplet_metric: str = "euclidean"
+    folds: int = 10
+    seed: int = 0
+    probe_lr: float = 0.5
+    probe_epochs: int = 300
+    probe_l2: float = 1e-3
+
+    def __post_init__(self):
+        if self.similarity not in SIMILARITY_METRICS:
+            raise ValueError(f"similarity must be one of {', '.join(SIMILARITY_METRICS)}; got {self.similarity!r}")
+        if self.triplet_metric not in TRIPLET_METRICS:
+            raise ValueError(f"triplet_metric must be one of {', '.join(TRIPLET_METRICS)}; got {self.triplet_metric!r}")
+        for name, least in (("folds", 2), ("seed", 0), ("probe_epochs", 1), ("probe_l2", 0.0)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.probe_lr > 0.0:
+            raise ValueError(f"probe_lr must be above 0.0, got {self.probe_lr}")

@@ -5,13 +5,15 @@ inference path: `embed_corpus` adds ids to its rows, and
 `bench_embedding` times the same call.
 
 A store keeps one contiguous float32 matrix and, built on first use
-after an add, its float64 row norms, zero-norm mask and float32 unit
-rows. `top_k` scores the unit rows in float32, then re-scores in float64
-only rows that could reach the top k, so it returns what a float64 sort
-of every row would. `most_similar_pair` scores the upper triangle in
-float32 tiles of the unit rows, on helper threads by `embed`'s rule,
-then re-scores in float64 only pairs near the best so far, one pair at
-a time, so it gives a float64 scan's answer and equal rows tie exactly.
+after an add, its float64 row norms, dead-row mask and float32 unit
+rows; a row whose norm is zero, NaN or infinite is dead, its unit row
+zero and its score -inf. `top_k` scores the unit rows in float32, then
+re-scores in float64 only rows that could reach the top k, so it
+returns what a float64 sort of every row would. `most_similar_pair`
+scores the upper triangle in float32 tiles of the unit rows, on helper
+threads by `embed`'s rule, then re-scores in float64 only pairs near
+the best so far, one pair at a time, so it gives a float64 scan's
+answer and equal rows tie exactly.
 
 The store serializes to a single binary file (magic "SEMV"): u32
 version, u32 dim, u64 count, a length-prefixed newline-joined id block,
@@ -91,12 +93,13 @@ class VectorStore:
         return self._normalized()[0]
 
     def _normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float64 row norms, the zero-norm mask and float32 unit rows (zero rows stay zero)."""
+        """Float64 row norms, the dead-row mask (norm zero, NaN or infinite) and float32 unit rows, zero where dead."""
         if self._derived is None:
             rows = self.matrix.astype(np.float64)
             norms = np.linalg.norm(rows, axis=1)
-            dead = ~(norms > 0.0)  # a NaN norm scores like a zero one
+            dead = ~(norms > 0.0) | np.isinf(norms)
             rows /= np.where(dead, 1.0, norms)[:, None]
+            rows[dead] = 0.0
             self._derived = (norms, dead, rows.astype(np.float32))
         return self._derived
 
@@ -196,7 +199,7 @@ def embed_corpus(embedder, sentences, batch_size: int = 32, smart: bool = True, 
 
 
 def _cosine_against_store(store: VectorStore, unit_query: np.ndarray) -> np.ndarray:
-    """Float32 cosine of a unit query with every row; zero-norm rows score -inf."""
+    """Float32 cosine of a unit query with every row; dead rows score -inf."""
     _, dead, unit = store._normalized()
     scores = unit @ unit_query.astype(np.float32)
     scores[dead] = -np.inf
@@ -206,9 +209,10 @@ def _cosine_against_store(store: VectorStore, unit_query: np.ndarray) -> np.ndar
 def top_k(store: VectorStore, query, k: int) -> list[tuple[str, float]]:
     """The k best rows by cosine similarity, as (id, float32 score) pairs.
 
-    Equal scores break toward the lexicographically smaller id; rows
-    with zero norm never outrank a real match, and a zero-norm query is
-    refused outright. Scores are the float64 cosine cast to float32.
+    Equal scores break toward the lexicographically smaller id; dead
+    rows (norm zero, NaN or infinite) score -inf, below every real
+    match, and a query whose norm is zero or not finite is refused
+    outright. Scores are the float64 cosine cast to float32.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -216,8 +220,8 @@ def top_k(store: VectorStore, query, k: int) -> list[tuple[str, float]]:
     if query.size != store.dim:
         raise DimensionMismatchError(f"query has {query.size} dims, store expects {store.dim}")
     q_norm = np.linalg.norm(query)
-    if q_norm == 0.0:
-        raise ValueError("cannot search with a zero-norm query")
+    if not 0.0 < q_norm < np.inf:
+        raise ValueError("cannot search with a zero-norm or non-finite query")
     n = len(store)
     approx = _cosine_against_store(store, query / q_norm)
     rows = np.arange(n)
@@ -227,14 +231,16 @@ def top_k(store: VectorStore, query, k: int) -> list[tuple[str, float]]:
         # exact top k scores below the k-th approximate score less
         # 2*(dim+3)*2^-24. The margin is about twice that; a -inf k-th
         # score keeps every row.
-        key = np.fmax(approx, -np.inf)  # rows holding inf score NaN: select them as if -inf
-        kth = float(np.partition(key, n - k)[n - k])
-        rows = np.flatnonzero(key >= kth - 4 * (store.dim + 2) * 2.0**-24)
+        kth = float(np.partition(approx, n - k)[n - k])
+        rows = np.flatnonzero(approx >= kth - 4 * (store.dim + 2) * 2.0**-24)
     norms, dead, _ = store._normalized()
-    exact = (store.matrix[rows].astype(np.float64) @ query) / (np.where(dead[rows], 1.0, norms[rows]) * q_norm)
-    scores = np.where(np.isneginf(approx[rows]), -np.inf, exact).astype(np.float32)
+    dead = dead[rows]
+    candidates = store.matrix[rows].astype(np.float64)
+    candidates[dead] = 0.0  # a dead row may hold inf or NaN
+    exact = (candidates @ query) / (np.where(dead, 1.0, norms[rows]) * q_norm)
+    scores = np.where(dead, -np.inf, exact).astype(np.float32)
     ids = store._ids
-    order = np.lexsort((np.array([ids[i] for i in rows]), -scores))  # NaN scores sort last
+    order = np.lexsort((np.array([ids[i] for i in rows]), -scores))
     return [(ids[rows[i]], float(scores[i])) for i in order[:k]]
 
 
@@ -252,14 +258,13 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
     Scores every unordered pair exactly once (n*(n-1)/2 comparisons,
     counted and reported); ties resolve to the earliest pair in
     insertion order. A pair's score depends only on its two rows, so
-    copies of the same two rows tie exactly wherever they sit. Rows with
-    zero norm lose to everything.
+    copies of the same two rows tie exactly wherever they sit. Dead rows
+    (norm zero, NaN or infinite) lose to everything.
     """
     n = len(store)
     if n < 2:
         raise ValueError(f"most_similar_pair needs at least 2 vectors, got {n}")
     norms, dead, unit = store._normalized()
-    scale = np.where(dead, 1.0, norms)
     # A float32 GEMM score of float32-rounded unit rows lies within about
     # (dim+2)*2^-24 of the exact cosine, so the pair best by exact score
     # lies within twice that of its tile's float32 maximum, and a tile
@@ -279,15 +284,16 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
             scores[:, dead[c0:c1]] = -np.inf
             scores[dead[r0:r1]] = -np.inf
         top = float(scores.max())
-        if not top > best[0] - margin:  # NaN skips the tile, as -inf does
+        if top <= best[0] - margin:
             return
         i, j = np.divmod(np.flatnonzero(scores >= top - margin), c1 - c0)
         i += r0
         j += c0
-        # float64 unit rows of the candidates alone, with a whole-matrix division's bits;
-        # scored one pair at a time, equal rows tie exactly wherever their tiles sit
-        ui = store.matrix[i].astype(np.float64) / scale[i][:, None]
-        uj = store.matrix[j].astype(np.float64) / scale[j][:, None]
+        # float64 unit rows of the candidates alone, with a whole-matrix division's bits (a candidate
+        # scored above -inf, so is never dead); scored one pair at a time, equal rows tie exactly
+        # wherever their tiles sit
+        ui = store.matrix[i].astype(np.float64) / norms[i][:, None]
+        uj = store.matrix[j].astype(np.float64) / norms[j][:, None]
         exact = np.sum(ui * uj, axis=1)
         pick = np.lexsort((j, i, -exact))[0]
         found = (float(exact[pick]), (int(i[pick]), int(j[pick])))

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from semb.encoder import Vocab
@@ -15,3 +17,11 @@ def encode_calls(monkeypatch):
 
     monkeypatch.setattr(Vocab, "encode", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_outlives_its_test():
+    """Fail a test that leaves a `semb-embed` helper thread running."""
+    yield
+    left = [t for t in threading.enumerate() if t.name == "semb-embed"]
+    assert left == [], f"{len(left)} semb-embed helper thread(s) still alive"

@@ -476,6 +476,16 @@ def test_zero_row_scores_print_as_null(trained_run, capsys, tmp_path):
     assert json.loads(out)["score"] is None
 
 
+def test_an_inf_row_hides_no_pair_from_search_pair(capsys, tmp_path):
+    store = VectorStore(2)
+    store.add_many(["bad", "a", "b"], np.array([[np.inf, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+    store.save(tmp_path / "inf.semv")
+    code, out, _ = run_cli(capsys, ["search", "--store", str(tmp_path / "inf.semv"), "--pair", "--quiet"])
+    assert code == 0
+    report = strict_json(out)
+    assert (report["id_a"], report["id_b"], report["score"]) == ("a", "b", 1.0)
+
+
 @pytest.mark.parametrize("count, id_block", [(2, b"a\na"), (2, b"a\n")], ids=["duplicate-id", "empty-id"])
 def test_search_store_with_bad_ids_exits_3_naming_the_file(capsys, tmp_path, count, id_block):
     body = b"SEMV" + struct.pack("<IIQI", 1, 2, count, len(id_block)) + id_block
@@ -600,6 +610,23 @@ def test_search_with_a_zero_norm_query_exits_5(trained_run, capsys, tmp_path):
     )
     assert code == 5
     assert "zero-norm" in json.loads(out)["error"]["message"]
+
+
+def test_search_with_a_nan_query_exits_5(trained_run, capsys, tmp_path):
+    # a NaN token table embeds every text to a NaN vector
+    embedder = SentenceEmbedder.load(trained_run / "checkpoint.semb")
+    embedder.encoder.params["tok_emb"].data[...] = np.nan
+    ckpt = tmp_path / "nan.semb"
+    embedder.save(ckpt)
+    store = VectorStore(embedder.dim)
+    store.add_many(["real", "other"], np.eye(2, embedder.dim))
+    store.save(tmp_path / "two.semv")
+    code, out, _ = run_cli(
+        capsys, ["search", "--store", str(tmp_path / "two.semv"), "--data.checkpoint", str(ckpt),
+                 "--query", "rain", "-k", "2", "--quiet"]
+    )
+    assert code == 5
+    assert "non-finite query" in strict_json(out)["error"]["message"]
 
 
 def test_ablate_repeated_seed_gives_zero_std(workspace, capsys):
@@ -828,6 +855,22 @@ def test_the_last_flag_for_a_field_wins(workspace, capsys, tmp_path, flags, epoc
     assert code == 0
     assert strict_json(out)["epochs"] == epochs
     assert strict_json((tmp_path / "train" / "effective-config.json").read_text())["train"]["epochs"] == epochs
+
+
+@pytest.mark.parametrize("last", ["shortcut", "dotted"])
+def test_the_last_of_store_and_data_store_wins(capsys, tmp_path, last):
+    store = VectorStore(2)
+    store.add_many(["a", "b"], np.eye(2))
+    store.save(tmp_path / "good.semv")
+    missing = str(tmp_path / "missing.semv")
+    flags = ["--store", str(tmp_path / "good.semv"), "--data.store", missing]
+    if last == "shortcut":
+        flags = flags[2:] + flags[:2]
+    code, out, _ = run_cli(capsys, ["search", "--pair", "--quiet"] + flags)
+    if last == "shortcut":
+        assert code == 0 and strict_json(out)["comparisons"] == 1
+    else:
+        assert code == 3 and missing in strict_json(out)["error"]["message"]
 
 
 def test_a_dotted_flag_takes_its_value_after_an_equals_sign(workspace, trained_run, capsys, tmp_path):

@@ -204,13 +204,14 @@ def test_store_load_refuses_bad_ids_and_header_as_format_error(tmp_path, dim, co
 
 
 def brute_force_ranking(store, query):
-    # independent definition: python sort over per-row f32 cosines
+    # independent definition: python sort over per-row f32 cosines; a row
+    # whose norm is zero, NaN or infinite scores -inf
     query = np.asarray(query, dtype=np.float64)
     rows = store.matrix.astype(np.float64)
     scored = []
     for id_, row in zip(store.ids, rows):
         norm = np.linalg.norm(row) * np.linalg.norm(query)
-        score = np.float32(row @ query / norm) if norm > 0 else np.float32(-np.inf)
+        score = np.float32(row @ query / norm) if 0.0 < norm < np.inf else np.float32(-np.inf)
         scored.append((id_, float(score)))
     return sorted(scored, key=lambda t: (-t[1], t[0]))
 
@@ -256,8 +257,9 @@ def test_top_k_k_larger_than_store_and_bad_inputs():
         top_k(store, [1.0, 0.0, 0.0], 0)
     with pytest.raises(DimensionMismatchError):
         top_k(store, [1.0, 0.0], 3)
-    with pytest.raises(ValueError):
-        top_k(store, [0.0, 0.0, 0.0], 3)  # zero-norm query
+    for query in ([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="zero-norm or non-finite query"):
+            top_k(store, query, 3)
 
 
 def test_top_k_zero_norm_rows_rank_last():
@@ -362,6 +364,18 @@ def test_most_similar_pair_ignores_zero_rows():
     assert (result.id_a, result.id_b, result.score) == ("x", "minus-x", -1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_inf_row_is_dead_and_hides_no_pair():
+    store = VectorStore(2)
+    store.add_many(["bad", "a", "b"], np.array([[np.inf, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+    result = most_similar_pair(store)
+    assert (result.id_a, result.id_b, result.score) == ("a", "b", 1.0)
+    assert top_k(store, [1.0, 0.0], 3) == [("a", 1.0), ("b", 1.0), ("bad", float("-inf"))]
+    # [0, 1] against [inf, 0] is inf * 0, NaN in a product over the raw row
+    assert top_k(store, [0.0, 1.0], 3) == [("a", 0.0), ("b", 0.0), ("bad", float("-inf"))]
+    assert store.norms[0] == np.inf
+
+
 def test_most_similar_score_agrees_with_top_k_second_hits():
     store = random_store(25, 4, seed=14)
     best = most_similar_pair(store)
@@ -463,10 +477,16 @@ def test_most_similar_pair_reports_the_earliest_copy_of_the_best_pair(seed, bloc
 
 
 def float64_closest_pair(store, block_rows):
-    """The float64 tile scan that float32 tiles replaced, kept as the reference answer."""
+    """The float64 tile scan that float32 tiles replaced, kept as the reference answer.
+
+    A row whose float64 norm is not positive and finite is dead: it
+    scores -inf against every row.
+    """
     n = len(store)
-    norms, dead, _ = store._normalized()
-    unit = store.matrix.astype(np.float64) / np.where(dead, 1.0, norms)[:, None]
+    rows = store.matrix.astype(np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    dead = ~((norms > 0.0) & (norms < np.inf))
+    unit = np.where(dead[:, None], 0.0, rows / np.where(dead, 1.0, norms)[:, None])
     margin = 4 * (store.dim + 2) * 2.0**-53
     lower = np.tri(block_rows, dtype=bool)
     best_score = -np.inf
@@ -501,9 +521,8 @@ def ulp_store(seed):
 
     Rows a few ulps apart have cosines closer than the float32 margin
     can separate; a row scaled by a power of two has the unit row of its
-    original, so it ties with it exactly. A NaN entry makes a zero-norm
-    row; an inf entry makes a NaN unit row, which skips every tile it
-    sits in.
+    original, so it ties with it exactly. A NaN or inf entry makes a
+    row no search can score, like a zero row.
     """
     rng = np.random.default_rng(seed)
     dim = int(rng.choice([3, 8, 33]))
@@ -521,16 +540,25 @@ def ulp_store(seed):
     return store
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the inf rows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no NaN or inf reaches a product, whatever the rows hold
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 9), per_helper=st.integers(1, 3))
-def test_float32_tiles_on_helper_threads_give_the_float64_scans_answer(seed, block_rows, per_helper):
+@given(seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 9), per_helper=st.integers(1, 3),
+       query_row=st.integers(0, 39))
+def test_float32_tiles_on_helper_threads_give_the_float64_scans_answer(seed, block_rows, per_helper, query_row):
     store = ulp_store(seed)
+    query = store.matrix[query_row % len(store)]
+    if not 0.0 < np.linalg.norm(query.astype(np.float64)) < np.inf:
+        query = np.ones(store.dim)
     with mock.patch.object(semb.search, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(semb.embedder, "_BATCHES_PER_HELPER", per_helper), \
             mock.patch.object(semb.embedder, "_worker_count", lambda: 2):
         got = most_similar_pair(store)
+        hits = {k: top_k(store, query, k) for k in range(1, len(store) + 2)}
     assert got == float64_closest_pair(store, block_rows)
+    ranking = brute_force_ranking(store, query)
+    for k, got_k in hits.items():
+        assert got_k == ranking[:k]
+        assert not any(np.isnan(score) for _, score in got_k)
     assert [t for t in threading.enumerate() if t.name == "semb-embed"] == []
 
 
