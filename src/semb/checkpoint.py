@@ -87,7 +87,7 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (manifest, params) with float32 arrays.
 
     Raises FormatError / VersionError / TruncatedError / ChecksumError
-    depending on what is wrong with the file.
+    depending on what is wrong with the file, NaN or inf weights included.
     """
     with open(path, "rb") as fh:
         reader = ByteReader(fh.read(), what=str(path))
@@ -136,7 +136,10 @@ def load_checkpoint(path):
                 f" but its data starts at {actual_offset}"
             )
         shape = tuple(entry["shape"])
-        params[entry["name"]] = reader.f32_array(math.prod(shape)).reshape(shape)
+        array = reader.f32_array(math.prod(shape)).reshape(shape)
+        if not np.isfinite(array).all():
+            raise FormatError(f"{path}: parameter {entry['name']!r} holds a value that is not finite")
+        params[entry["name"]] = array
     reader.verify_crc_trailer(start=payload_start)
     return manifest, params
 
@@ -144,6 +147,6 @@ def load_checkpoint(path):
 def encoder_config(path, manifest: dict) -> EncoderConfig:
     """The manifest's encoder config; one that `EncoderConfig` refuses is a FormatError naming the file."""
     try:
-        return EncoderConfig.from_dict(manifest["config"])
+        return EncoderConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: manifest config rejected: {exc}") from None

@@ -525,7 +525,7 @@ def cmd_bench(args, cfg: dict) -> dict:
 def cmd_inspect(args, cfg: dict) -> dict:
     path = args.checkpoint
     manifest, params = load_checkpoint(path)
-    encoder_config(path, manifest)  # report only what `SentenceEmbedder.load` would accept
+    encoder_config(path, manifest)  # checks the config only: pooling, vocabulary and parameter set go unchecked
     entries = [
         {"name": name, "shape": list(array.shape)} for name, array in params.items()
     ]

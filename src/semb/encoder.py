@@ -8,7 +8,7 @@ forward, learned positions) built entirely from the autodiff ops in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from itertools import repeat
 
 import numpy as np
@@ -147,14 +147,6 @@ class EncoderConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown encoder config fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 class Encoder:

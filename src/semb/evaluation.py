@@ -44,14 +44,12 @@ def fractional_ranks(x) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # a tie group starts wherever a sorted value differs from the one before; NaN differs from everything
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(starts, x.size))
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(starts + (sizes - 1) / 2.0 + 1.0, sizes)
     return ranks
 
 

@@ -314,7 +314,8 @@ def bench_embedding(embedder, texts, batch_size: int = 32, smart: bool = True, s
 
     The timed call covers tokenization, padding and the forward pass of
     every batch. The token counts come from the same batch plan, rebuilt
-    untimed afterwards.
+    untimed afterwards: a plan's batches do not depend on the generator,
+    which only orders them, so `seed` need not be `embed`'s.
     """
     texts = list(texts)
     if not texts:

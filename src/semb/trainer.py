@@ -205,7 +205,7 @@ def smart_batches(lengths, batch_size: int, rng: np.random.Generator) -> list[li
     placed wherever along the sorted order it wastes the least padding.
     Chunking the sorted list with the remainder always at the end can
     otherwise lose to an unsorted corpus whose natural boundaries happen
-    to isolate the long sentences.
+    to isolate the long sentences; one pass of prefix sums prices each slot.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
@@ -216,22 +216,16 @@ def smart_batches(lengths, batch_size: int, rng: np.random.Generator) -> list[li
         return []
     k = math.ceil(n / batch_size)
     ragged = n - (k - 1) * batch_size
-    best_sizes = None
-    best_cost = None
-    for slot in range(k):
-        sizes = [batch_size] * k
-        sizes[slot] = ragged
-        ends = np.cumsum(sizes)
-        cost = int(np.sum(np.asarray(sizes) * lengths[order[ends - 1]]))
-        if best_cost is None or cost <= best_cost:  # ties keep the latest slot
-            best_cost = cost
-            best_sizes = sizes
-    chunks = []
-    start = 0
-    for size in best_sizes:
-        chunks.append(order[start : start + size].tolist())
-        start += size
-    return [chunks[i] for i in rng.permutation(len(chunks))]
+    # batch i pads to sorted index (i + 1) * batch_size - 1 before the slot, i * batch_size + ragged - 1 from it on
+    ordered = lengths[order].astype(np.int64)
+    before = batch_size * ordered[batch_size - 1 :: batch_size][: k - 1]
+    after = ordered[ragged - 1 :: batch_size]
+    cost = np.concatenate(([0], np.cumsum(before))) + ragged * after + batch_size * (after.sum() - np.cumsum(after))
+    slot = k - 1 - int(np.argmin(cost[::-1]))  # ties keep the latest slot
+    cuts = np.arange(1, k) * batch_size
+    cuts[slot:] -= batch_size - ragged
+    chunks = np.split(order, cuts)
+    return [chunks[i].tolist() for i in rng.permutation(k)]
 
 
 def naive_batches(count: int, batch_size: int) -> list[list[int]]:

@@ -193,6 +193,17 @@ def test_embedder_load_rejects_param_set_mismatch(tmp_path):
     assert "tok_emb" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_embedder_load_refuses_a_weight_that_is_not_finite(tmp_path, value):
+    emb = small_embedder()
+    emb.encoder.params["tok_emb"].data[2, 3] = value
+    path = tmp_path / "nanw.semb"
+    emb.save(path)
+    with pytest.raises(FormatError) as err:
+        SentenceEmbedder.load(path)
+    assert str(err.value) == f"{path}: parameter 'tok_emb' holds a value that is not finite"
+
+
 def test_embedder_vocab_size_must_match_config():
     vocab = Vocab(["only", "two"])
     cfg = EncoderConfig(vocab_size=99, dim=8, n_layers=1, n_heads=2, ffn_dim=8, max_seq_len=8)

@@ -613,9 +613,10 @@ def test_search_with_a_zero_norm_query_exits_5(trained_run, capsys, tmp_path):
 
 
 def test_search_with_a_nan_query_exits_5(trained_run, capsys, tmp_path):
-    # a NaN token table embeds every text to a NaN vector
+    # finite token and position tables whose sum overflows to inf embed every text to a NaN vector
     embedder = SentenceEmbedder.load(trained_run / "checkpoint.semb")
-    embedder.encoder.params["tok_emb"].data[...] = np.nan
+    embedder.encoder.params["tok_emb"].data[...] = 3e38
+    embedder.encoder.params["pos_emb"].data[...] = 3e38
     ckpt = tmp_path / "nan.semb"
     embedder.save(ckpt)
     store = VectorStore(embedder.dim)
@@ -627,6 +628,23 @@ def test_search_with_a_nan_query_exits_5(trained_run, capsys, tmp_path):
     )
     assert code == 5
     assert "non-finite query" in strict_json(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["embed", "inspect"])
+def test_a_checkpoint_with_a_nan_weight_exits_3_naming_the_file(workspace, trained_run, capsys, tmp_path, command):
+    embedder = SentenceEmbedder.load(trained_run / "checkpoint.semb")
+    embedder.encoder.params["tok_emb"].data[...] = np.nan
+    ckpt = tmp_path / "nanw.semb"
+    embedder.save(ckpt)
+    argv = {
+        "embed": ["embed", "--data.checkpoint", str(ckpt), "--data.corpus", str(workspace / "corpus.txt"),
+                  "--runs-root", str(workspace / "runs"), "--name", "nanw"],
+        "inspect": ["inspect", str(ckpt)],
+    }[command]
+    code, out, _ = run_cli(capsys, argv + ["--quiet"])
+    assert code == 3
+    assert strict_json(out)["error"]["message"] == f"{ckpt}: parameter 'tok_emb' holds a value that is not finite"
+    assert not (workspace / "runs" / "nanw" / "vectors.semv").exists()
 
 
 def test_ablate_repeated_seed_gives_zero_std(workspace, capsys):

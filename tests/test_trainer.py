@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,56 @@ def test_smart_batching_never_pads_more_than_naive(lengths, batch_size, seed):
     naive = naive_batches(len(lengths), batch_size)
     assert padded_token_count(smart, lengths) <= padded_token_count(naive, lengths)
     assert sorted(i for b in smart for i in b) == list(range(len(lengths)))
+
+
+def trial_per_slot_batches(lengths, batch_size, rng):
+    """Reference planner: price each slot for the short batch by building its size list."""
+    lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    n = len(order)
+    if n == 0:
+        return []
+    k = math.ceil(n / batch_size)
+    ragged = n - (k - 1) * batch_size
+    best_sizes = None
+    best_cost = None
+    for slot in range(k):
+        sizes = [batch_size] * k
+        sizes[slot] = ragged
+        ends = np.cumsum(sizes)
+        cost = int(np.sum(np.asarray(sizes) * lengths[order[ends - 1]]))
+        if best_cost is None or cost <= best_cost:  # ties keep the latest slot
+            best_cost = cost
+            best_sizes = sizes
+    chunks = []
+    start = 0
+    for size in best_sizes:
+        chunks.append(order[start : start + size].tolist())
+        start += size
+    return [chunks[i] for i in rng.permutation(len(chunks))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=3),
+    picks=st.lists(st.integers(min_value=0, max_value=2), max_size=200),
+    batch_size=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_smart_batches_are_the_trial_per_slot_batches(values, picks, batch_size, seed):
+    # few distinct lengths make many ties, so the "latest slot wins" rule is exercised
+    lengths = [values[i % len(values)] for i in picks]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert smart_batches(lengths, batch_size, ours) == trial_per_slot_batches(lengths, batch_size, theirs)
+    assert ours.random() == theirs.random()  # the same draws were taken
+
+
+def test_smart_batches_plan_200k_lengths_in_linear_time():
+    lengths = np.random.default_rng(0).integers(1, 64, size=200_000).tolist()
+    start = time.perf_counter()
+    batches = smart_batches(lengths, 32, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.5
+    assert len(batches) == 6250
 
 
 def test_smart_batches_short_batch_placed_where_it_pads_least():
