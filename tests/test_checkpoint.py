@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import struct
 import zlib
 from unittest import mock
@@ -34,6 +35,18 @@ def test_roundtrip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(back.encoder.params[name].data, p.data)
     texts = ["red fish", "blue green fish fish"]
     np.testing.assert_array_equal(back.embed(texts), emb.embed(texts))
+
+
+def test_a_fresh_checkpoint_keeps_its_pinned_bytes(tmp_path):
+    # init draw order and payload order both feed this hash; two layers, so
+    # a per-layer reordering shows too
+    vocab = Vocab(["red", "green", "blue", "fish"])
+    cfg = EncoderConfig(vocab_size=vocab.size, dim=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq_len=10)
+    path = tmp_path / "fresh.semb"
+    SentenceEmbedder(vocab, Encoder(cfg, seed=7)).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9d231adb7c6d6add423389bee9d96a72ea716eeac4babef63a25144aa9ff9c29"
+    )
 
 
 def test_header_layout(tmp_path):
