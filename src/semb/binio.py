@@ -26,7 +26,6 @@ __all__ = [
     "pack_u32",
     "pack_u64",
     "pack_block",
-    "finish_with_crc",
     "write_atomic",
 ]
 
@@ -64,11 +63,6 @@ def pack_block(payload: bytes) -> bytes:
     return pack_u32(len(payload)) + payload
 
 
-def finish_with_crc(body: bytes) -> bytes:
-    """Append the CRC-32 of everything written so far."""
-    return body + pack_u32(zlib.crc32(body) & 0xFFFFFFFF)
-
-
 def write_atomic(path, *chunks: bytes) -> None:
     """Replace the file at `path` by `chunks` through a temp file beside it, whole or not at all.
 
@@ -96,12 +90,15 @@ class ByteReader:
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Step over `n` bytes; returns where they start."""
         if self.pos + n > len(self.data):
             raise TruncatedError(f"{self.what}: expected {n} more bytes at offset {self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.data[self._advance(n) : self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -113,8 +110,9 @@ class ByteReader:
         return self.take(self.u32())
 
     def f32_array(self, count: int) -> np.ndarray:
-        raw = self.take(count * 4)
-        return np.frombuffer(raw, dtype="<f4", count=count).copy()
+        """The next `count` floats, copied once into an aligned, writable array of their own."""
+        start = self._advance(count * 4)
+        return np.frombuffer(self.data, dtype="<f4", count=count, offset=start).copy()
 
     def expect_magic(self, magic: bytes):
         got = self.take(len(magic)) if len(self.data) >= len(magic) else b""
@@ -132,8 +130,8 @@ class ByteReader:
             raise TruncatedError(f"{self.what}: missing checksum trailer")
         if self.pos + 4 != len(self.data):
             raise FormatError(f"{self.what}: {len(self.data) - self.pos - 4} unexpected trailing bytes")
-        stored = struct.unpack("<I", self.data[self.pos :])[0]
-        actual = zlib.crc32(self.data[start : self.pos]) & 0xFFFFFFFF
+        stored = struct.unpack_from("<I", self.data, self.pos)[0]
+        actual = zlib.crc32(memoryview(self.data)[start : self.pos]) & 0xFFFFFFFF
         if stored != actual:
             raise ChecksumError(f"{self.what}: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})")
         self.pos += 4

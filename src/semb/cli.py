@@ -525,7 +525,8 @@ def cmd_bench(args, cfg: dict) -> dict:
 def cmd_inspect(args, cfg: dict) -> dict:
     path = args.checkpoint
     manifest, params = load_checkpoint(path)
-    encoder_config(path, manifest)  # checks the config only: pooling, vocabulary and parameter set go unchecked
+    encoder_config(path, manifest)  # a bad config keeps inspect's own message, which load's wraps
+    SentenceEmbedder.from_checkpoint(path, manifest, params)  # inspect reads only what load accepts
     entries = [
         {"name": name, "shape": list(array.shape)} for name, array in params.items()
     ]

@@ -10,7 +10,7 @@ import numpy as np
 from . import trainer
 from .binio import FormatError
 from .checkpoint import encoder_config, load_checkpoint, save_checkpoint
-from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, Vocab
+from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, EncoderConfig, Vocab
 from .pooling import POOLING_MODES, pool
 from .tensor import Tensor, no_grad
 
@@ -74,6 +74,13 @@ def _run_jobs(jobs, work) -> None:
         raise errors[0]
 
 
+def _check_parts(vocab: Vocab, config: EncoderConfig, pooling: str) -> None:
+    if pooling not in POOLING_MODES:
+        raise ValueError(f"unknown pooling mode {pooling!r}; expected one of {POOLING_MODES}")
+    if vocab.size != config.vocab_size:
+        raise ValueError(f"vocabulary has {vocab.size} ids but encoder expects {config.vocab_size}")
+
+
 class SentenceEmbedder:
     """Maps sentences to fixed-size vectors.
 
@@ -83,16 +90,11 @@ class SentenceEmbedder:
     """
 
     def __init__(self, vocab: Vocab, encoder: Encoder, pooling: str = "mean", include_special: bool = True):
-        if pooling not in POOLING_MODES:
-            raise ValueError(f"unknown pooling mode {pooling!r}; expected one of {POOLING_MODES}")
+        _check_parts(vocab, encoder.config, pooling)
         self.vocab = vocab
         self.encoder = encoder
         self.pooling = pooling
         self.include_special = include_special
-        if vocab.size != encoder.config.vocab_size:
-            raise ValueError(
-                f"vocabulary has {vocab.size} ids but encoder expects {encoder.config.vocab_size}"
-            )
 
     @property
     def dim(self) -> int:
@@ -183,23 +185,26 @@ class SentenceEmbedder:
 
     @classmethod
     def load(cls, path) -> "SentenceEmbedder":
-        manifest, params = load_checkpoint(path)
+        return cls.from_checkpoint(path, *load_checkpoint(path))
+
+    @classmethod
+    def from_checkpoint(cls, path, manifest: dict, params: dict) -> "SentenceEmbedder":
+        """The model `load_checkpoint(path)` read, checked against `Encoder.layout`; it takes `params` uncopied."""
         # the CRC covers only the tensor payload, so a manifest can parse and still be wrong
         try:
-            encoder = Encoder(encoder_config(path, manifest))
-            model = cls(Vocab(manifest["vocab"]), encoder, manifest["pooling"], manifest["include_special"])
+            config = encoder_config(path, manifest)
+            layout = Encoder.layout(config)
+            vocab = Vocab(manifest["vocab"])
+            _check_parts(vocab, config, manifest["pooling"])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: manifest rejected: {exc}") from None
-        expected = set(encoder.params)
+        expected = {name for name, _, _ in layout}
         loaded = set(params)
         if expected != loaded:
             missing = sorted(expected - loaded)
             extra = sorted(loaded - expected)
             raise FormatError(f"{path}: parameter set mismatch (missing {missing}, unexpected {extra})")
-        for name, tensor_param in encoder.params.items():
-            if params[name].shape != tensor_param.shape:
-                raise FormatError(
-                    f"{path}: parameter {name} has shape {params[name].shape}, expected {tensor_param.shape}"
-                )
-            tensor_param.data[...] = params[name]
-        return model
+        for name, shape, _ in layout:
+            if params[name].shape != shape:
+                raise FormatError(f"{path}: parameter {name} has shape {params[name].shape}, expected {shape}")
+        return cls(vocab, Encoder(config, params=params), manifest["pooling"], manifest["include_special"])

@@ -7,6 +7,7 @@ forward, learned positions) built entirely from the autodiff ops in
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, asdict
 from itertools import repeat
@@ -152,48 +153,48 @@ class EncoderConfig:
 class Encoder:
     """Transformer encoder producing per-token hidden states.
 
-    Weights live in an insertion-ordered name -> Tensor dict, which is
-    also the checkpoint payload order. All randomness (init, dropout) is
-    seeded at construction.
+    Weights live in an insertion-ordered name -> Tensor dict in `layout`
+    order, which is also the checkpoint payload order. All randomness
+    (init, dropout) is seeded at construction; given `params`, arrays
+    of the layout's names and shapes, it wraps them and draws no weight.
     """
 
-    def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float32, params=None):
         self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         self._drop_rng = np.random.default_rng(rng.integers(0, 2**63))
-        self.params: dict[str, Tensor] = {}
+        layout = self.layout(config)
+        if params is None:
+            draw = {
+                "normal": lambda shape: rng.normal(0.0, 0.02, size=shape).astype(self.dtype),
+                "zeros": lambda shape: np.zeros(shape, dtype=self.dtype),
+                "ones": lambda shape: np.ones(shape, dtype=self.dtype),
+            }
+            params = {name: draw[init](shape) for name, shape, init in layout}
+        self.params = {name: Tensor(params[name], requires_grad=True, dtype=self.dtype) for name, _, _ in layout}
 
-        def weight(name, shape):
-            self.params[name] = Tensor(
-                rng.normal(0.0, 0.02, size=shape).astype(self.dtype), requires_grad=True
-            )
-
-        def zeros(name, shape):
-            self.params[name] = Tensor(np.zeros(shape, dtype=self.dtype), requires_grad=True)
-
-        def ones(name, shape):
-            self.params[name] = Tensor(np.ones(shape, dtype=self.dtype), requires_grad=True)
-
-        c = config
-        weight("tok_emb", (c.vocab_size, c.dim))
-        weight("pos_emb", (c.max_seq_len, c.dim))
-        ones("emb_ln.gain", (c.dim,))
-        zeros("emb_ln.bias", (c.dim,))
+    @staticmethod
+    def layout(c: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
+        """Every parameter's (name, shape, init), in init draw order; init is "normal", "zeros" or "ones"."""
+        table = [
+            ("tok_emb", (c.vocab_size, c.dim), "normal"),
+            ("pos_emb", (c.max_seq_len, c.dim), "normal"),
+            ("emb_ln.gain", (c.dim,), "ones"),
+            ("emb_ln.bias", (c.dim,), "zeros"),
+        ]
         for i in range(c.n_layers):
             p = f"layers.{i}."
-            for which in ("wq", "wk", "wv", "wo"):
-                weight(p + "attn." + which, (c.dim, c.dim))
-            for which in ("bq", "bk", "bv", "bo"):
-                zeros(p + "attn." + which, (c.dim,))
-            ones(p + "ln1.gain", (c.dim,))
-            zeros(p + "ln1.bias", (c.dim,))
-            weight(p + "ffn.w1", (c.dim, c.ffn_dim))
-            zeros(p + "ffn.b1", (c.ffn_dim,))
-            weight(p + "ffn.w2", (c.ffn_dim, c.dim))
-            zeros(p + "ffn.b2", (c.dim,))
-            ones(p + "ln2.gain", (c.dim,))
-            zeros(p + "ln2.bias", (c.dim,))
+            table += [(p + "attn." + which, (c.dim, c.dim), "normal") for which in ("wq", "wk", "wv", "wo")]
+            table += [(p + "attn." + which, (c.dim,), "zeros") for which in ("bq", "bk", "bv", "bo")]
+            table += [
+                (p + "ln1.gain", (c.dim,), "ones"), (p + "ln1.bias", (c.dim,), "zeros"),
+                (p + "ffn.w1", (c.dim, c.ffn_dim), "normal"), (p + "ffn.b1", (c.ffn_dim,), "zeros"),
+                (p + "ffn.w2", (c.ffn_dim, c.dim), "normal"), (p + "ffn.b2", (c.dim,), "zeros"),
+                (p + "ln2.gain", (c.dim,), "ones"), (p + "ln2.bias", (c.dim,), "zeros"),
+            ]
+        # sizes as Python ints: a float size fails here, as NumPy would fail to draw it
+        return [(name, tuple(map(operator.index, shape)), init) for name, shape, init in table]
 
     def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
         if train and self.config.dropout > 0.0:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .binio import (
     ByteReader,
     DimensionMismatchError,
     FormatError,
-    finish_with_crc,
     pack_block,
     pack_u32,
     pack_u64,
@@ -104,9 +104,16 @@ class VectorStore:
         return self._derived
 
     def _new_index(self, ids: list) -> dict[str, int]:
-        """Row numbers for ids about to be appended; a bad or repeated id is refused."""
-        new: dict[str, int] = {}
-        for row, id_ in enumerate(ids, len(self._ids)):
+        """Row numbers for ids about to be appended; a bad or repeated id is refused.
+
+        Checks made in C pass a good list; only a refused one is walked id by id, to name its first bad id.
+        """
+        start = len(self._ids)
+        new = dict(zip(ids, range(start, start + len(ids)))) if set(map(type, ids)) <= {str} else {}
+        if len(new) == len(ids) and "" not in new and "\n" not in "".join(ids) and self._index.keys().isdisjoint(new):
+            return new
+        new = {}
+        for row, id_ in enumerate(ids, start):
             if not isinstance(id_, str) or not id_:
                 raise ValueError("vector id must be a non-empty string")
             if "\n" in id_:
@@ -147,14 +154,12 @@ class VectorStore:
         return self._buffer[self._index[id_]].copy()
 
     def save(self, path) -> None:
-        body = bytearray()
-        body += STORE_MAGIC
-        body += pack_u32(STORE_VERSION)
-        body += pack_u32(self.dim)
-        body += pack_u64(len(self._ids))
-        body += pack_block("\n".join(self._ids).encode("utf-8"))
-        body += np.ascontiguousarray(self.matrix, dtype="<f4").tobytes()
-        write_atomic(path, finish_with_crc(bytes(body)))
+        """Write the store as one `.semv` file; the rows go out from the buffer, not from a copy."""
+        head = STORE_MAGIC + pack_u32(STORE_VERSION) + pack_u32(self.dim) + pack_u64(len(self._ids))
+        id_block = pack_block("\n".join(self._ids).encode("utf-8"))
+        rows = np.ascontiguousarray(self.matrix, dtype="<f4").data
+        crc = zlib.crc32(rows, zlib.crc32(id_block, zlib.crc32(head)))
+        write_atomic(path, head, id_block, rows, pack_u32(crc & 0xFFFFFFFF))
 
     @classmethod
     def load(cls, path) -> "VectorStore":
@@ -173,9 +178,11 @@ class VectorStore:
             if len(ids) != count:
                 raise ValueError(f"header says {count} vectors but id block lists {len(ids)}")
             store = cls(dim)
-            store.add_many(ids, values.reshape(count, dim))
+            store._index = store._new_index(ids)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        # the reader's copy is aligned, writable and C-contiguous, so it becomes the buffer as it is
+        store._ids, store._buffer = ids, values.reshape(count, dim)
         return store
 
 

@@ -37,6 +37,32 @@ def test_roundtrip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.embed(texts), emb.embed(texts))
 
 
+class NoWeightDraws(np.random.Generator):
+    """A generator whose `normal` refuses: `Generator` itself is an immutable type, so it cannot be patched."""
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("drew an initial weight")
+
+
+def test_load_draws_no_initial_weight_and_keeps_every_bit(tmp_path, monkeypatch):
+    vocab = Vocab(["red", "green", "blue", "fish"])
+    cfg = EncoderConfig(vocab_size=vocab.size, dim=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq_len=10, dropout=0.1)
+    emb = SentenceEmbedder(vocab, Encoder(cfg, seed=5), pooling="cls")
+    path = tmp_path / "model.semb"
+    emb.save(path)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoWeightDraws(np.random.PCG64(seed)))
+    back = SentenceEmbedder.load(path)
+    monkeypatch.undo()
+    assert list(back.encoder.params) == list(emb.encoder.params)
+    for name, p in emb.encoder.params.items():
+        assert back.encoder.params[name].data.dtype == np.float32
+        assert back.encoder.params[name].data.tobytes() == p.data.tobytes()
+    texts = ["red fish", "blue green fish fish", "unknown words here"]
+    assert back.embed(texts).tobytes() == emb.embed(texts).tobytes()
+    # dropout draws as a freshly built seed-0 encoder's would, as before
+    assert back.encoder._drop_rng.integers(0, 2**62) == Encoder(cfg)._drop_rng.integers(0, 2**62)
+
+
 def test_a_fresh_checkpoint_keeps_its_pinned_bytes(tmp_path):
     # init draw order and payload order both feed this hash; two layers, so
     # a per-layer reordering shows too

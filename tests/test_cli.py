@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semb import cli, synth
+from semb.binio import FormatError
 from semb.checkpoint import load_checkpoint, save_checkpoint
 from semb.cli import main
 from semb.embedder import SentenceEmbedder
@@ -585,13 +586,50 @@ def test_inspect_dumps_manifest(workspace, trained_run, capsys):
 
 
 def test_inspect_lists_no_parameters_for_a_checkpoint_without_any(capsys, tmp_path):
+    # load refuses a checkpoint with no parameters, so inspect does too, with load's message
     path = tmp_path / "empty.semb"
     save_checkpoint(path, {"vocab_size": 4}, "mean", False, [], params={})
+    with pytest.raises(FormatError) as refused:
+        SentenceEmbedder.load(path)
+    assert str(refused.value).startswith(f"{path}: parameter set mismatch (missing ['emb_ln.bias', 'emb_ln.gain', ")
     code, out, err = run_cli(capsys, ["inspect", str(path), "--quiet"])
-    assert (code, err) == (0, "")
-    report = json.loads(out)
-    assert report["parameters"] == []
-    assert report["total_parameters"] == 0
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["message"] == str(refused.value)
+
+
+def _bogus_pooling(manifest, params):
+    manifest["pooling"] = "bogus"
+    return "manifest rejected: unknown pooling mode 'bogus'; expected one of ('mean', 'max', 'cls')"
+
+
+def _repeated_token(manifest, params):
+    manifest["vocab"][-1] = manifest["vocab"][0]
+    return f"manifest rejected: duplicate or reserved token in vocabulary: {manifest['vocab'][0]!r}"
+
+
+def _vocab_one_short(manifest, params):
+    manifest["vocab"].pop()
+    size = manifest["config"]["vocab_size"]
+    return f"manifest rejected: vocabulary has {size - 1} ids but encoder expects {size}"
+
+
+def _missing_ffn_w1(manifest, params):
+    del params["layers.0.ffn.w1"]
+    return "parameter set mismatch (missing ['layers.0.ffn.w1'], unexpected [])"
+
+
+@pytest.mark.parametrize("change", [_bogus_pooling, _repeated_token, _vocab_one_short, _missing_ffn_w1])
+def test_inspect_refuses_what_load_refuses_with_loads_message(trained_run, capsys, tmp_path, change):
+    manifest, params = load_checkpoint(trained_run / "checkpoint.semb")
+    said = change(manifest, params)
+    path = tmp_path / "refused.semb"
+    save_checkpoint(path, manifest["config"], manifest["pooling"], manifest["include_special"], manifest["vocab"],
+                    params, manifest["objective"], manifest["steps"])
+    with pytest.raises(FormatError) as refused:
+        SentenceEmbedder.load(path)
+    code, out, err = run_cli(capsys, ["inspect", str(path), "--quiet"])
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["message"] == str(refused.value) == f"{path}: {said}"
 
 
 def test_search_with_a_zero_norm_query_exits_5(trained_run, capsys, tmp_path):

@@ -4,6 +4,8 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,6 @@ from semb.binio import (
     FormatError,
     TruncatedError,
     VersionError,
-    finish_with_crc,
     pack_block,
     pack_u32,
     pack_u64,
@@ -175,6 +176,10 @@ def test_store_corruption_is_detected(tmp_path):
         VectorStore.load(tmp_path / "j.semv")
 
 
+def finish_with_crc(body: bytes) -> bytes:
+    return body + pack_u32(zlib.crc32(body) & 0xFFFFFFFF)
+
+
 def semv_bytes(dim, count, id_block: bytes, values) -> bytes:
     """A `.semv` file with a valid checksum around whatever header and ids it is given."""
     body = STORE_MAGIC + pack_u32(STORE_VERSION) + pack_u32(dim) + pack_u64(count) + pack_block(id_block)
@@ -198,6 +203,118 @@ def test_store_load_refuses_bad_ids_and_header_as_format_error(tmp_path, dim, co
     with pytest.raises(FormatError, match=problem) as info:
         VectorStore.load(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("count", [0, 1, 10_000])
+def test_store_save_writes_the_reference_bytes(tmp_path, count):
+    rng = np.random.default_rng(count)
+    ids = [f"v{i:05d}" for i in range(count)]
+    store = VectorStore(64)
+    store.add_many(ids, rng.normal(size=(count, 64)))
+    store.save(tmp_path / "s.semv")
+    want = semv_bytes(64, count, "\n".join(ids).encode("utf-8"), store.matrix)
+    assert (tmp_path / "s.semv").read_bytes() == want
+
+
+AWKWARD_IDS = ["café", "Café", "CAFÉ", "two words", " lead", "trail ", "Ωmega", "ω", "日本語 文", "e\u0301", "x\ty", "\u00a0"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2_000])
+def test_store_roundtrip_keeps_awkward_ids_their_order_and_bits(tmp_path, count):
+    ids = (AWKWARD_IDS + [f"{AWKWARD_IDS[i % len(AWKWARD_IDS)]} #{i}" for i in range(count)])[:count]
+    rows = np.random.default_rng(3).normal(size=(count, 7)).astype(np.float32)
+    rows[::5] = [np.nan, np.inf, -0.0, 0.0, -np.inf, 1e-45, 3.4e38]
+    store = VectorStore(7)
+    store.add_many(ids, rows)
+    store.save(tmp_path / "a.semv")
+    back = VectorStore.load(tmp_path / "a.semv")
+    assert back.ids == ids
+    assert back.matrix.tobytes() == rows.tobytes()
+    assert all(id_ in back for id_ in ids)
+    # the adopted buffer is one BLAS can take as it is
+    flags = back.matrix.flags
+    assert flags.aligned and flags.writeable and flags.c_contiguous and back.matrix.dtype == np.float32
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ids=st.lists(st.sampled_from(AWKWARD_IDS + ["a", "b"]), min_size=2, max_size=40, unique=True),
+    data=st.data(),
+)
+def test_a_repeated_id_anywhere_in_a_store_file_names_its_first_repeat(tmp_path_factory, ids, data):
+    repeats = data.draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids))), min_size=1, max_size=3))
+    listed = list(ids)
+    for source, at in repeats:
+        listed.insert(at, ids[source])
+    seen = set()
+    first_repeat = next(id_ for id_ in listed if id_ in seen or seen.add(id_))
+    path = tmp_path_factory.mktemp("dup") / "dup.semv"
+    path.write_bytes(semv_bytes(1, len(listed), "\n".join(listed).encode("utf-8"), np.ones(len(listed))))
+    with pytest.raises(FormatError) as info:
+        VectorStore.load(path)
+    assert str(info.value) == f"{path}: duplicate vector id {first_repeat!r}"
+
+
+def test_store_load_peaks_at_most_2_6_times_the_file_size(tmp_path):
+    # the file's bytes plus one copy of the rows, plus the ids and their index
+    store = VectorStore(64)
+    store.add_many([f"s{i:06d}" for i in range(10_000)], np.random.default_rng(0).normal(size=(10_000, 64)))
+    path = tmp_path / "10k.semv"
+    store.save(path)
+    del store
+    tracemalloc.start()
+    try:
+        VectorStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * path.stat().st_size
+
+
+def per_id_index(store, ids):
+    """The per-id check that names the first bad id, kept as the reference for `_new_index`."""
+    new = {}
+    for row, id_ in enumerate(ids, len(store)):
+        if not isinstance(id_, str) or not id_:
+            raise ValueError("vector id must be a non-empty string")
+        if "\n" in id_:
+            raise ValueError(f"vector id may not contain newlines: {id_!r}")
+        if id_ in store or id_ in new:
+            raise ValueError(f"duplicate vector id {id_!r}")
+        new[id_] = row
+    return new
+
+
+class Tag(str):
+    """A str subclass: accepted as an id, though not by the all-`str` fast path."""
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(
+        st.one_of(
+            st.sampled_from(["a", "b", "c", "A", "é", "", "d\ne", "\n", " "]),
+            st.just(7),
+            st.just(None),
+            st.builds(lambda: ["unhashable"]),
+            st.builds(Tag, st.sampled_from(["a", "t"])),
+        ),
+        max_size=8,
+    ),
+    existing=st.lists(st.sampled_from(["a", "b", "t", "é"]), unique=True, max_size=3),
+)
+def test_new_index_refuses_and_names_exactly_what_the_per_id_loop_does(ids, existing):
+    store = VectorStore(1)
+    store.add_many(existing, np.ones((len(existing), 1)))
+    try:
+        want = per_id_index(store, ids)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            store._new_index(ids)
+        assert str(info.value) == str(exc)
+    else:
+        got = store._new_index(ids)
+        assert got == want and list(got) == list(want)
 
 
 # --- top_k --------------------------------------------------------------------
