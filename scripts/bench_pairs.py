@@ -88,9 +88,9 @@ def workload_section(runs: list[dict], spec: dict, details: list[str]) -> dict:
     side = {s: [next(r for r in runs if r["pair"] == k and r["side"] == s) for k in pairs] for s in SIDES}
     metrics = {}
     for m in spec["end_to_end"]:
-        name = m["name"]
-        metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                         **compare(*(([r["metrics"][name] for r in side[s]]) for s in SIDES), m["better"], m["bound"])}
+        values = [[r["metrics"][m["name"]] for r in side[s]] for s in SIDES]
+        metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                              **compare(*values, m["better"], m["bound"])}
     for name in details:
         values = [[r["details"][name] for r in side[s]] for s in SIDES]
         metrics[name] = {"better": "lower", "kind": "detail, not gated", **compare(*values, "lower", None)}

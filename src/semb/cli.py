@@ -525,7 +525,7 @@ def cmd_bench(args, cfg: dict) -> dict:
 def cmd_inspect(args, cfg: dict) -> dict:
     path = args.checkpoint
     manifest, params = load_checkpoint(path)
-    encoder_config(path, manifest)  # a bad config keeps inspect's own message, which load's wraps
+    encoder_config(path, manifest)  # a bad config: inspect's own message, where load's names the file twice
     SentenceEmbedder.from_checkpoint(path, manifest, params)  # inspect reads only what load accepts
     entries = [
         {"name": name, "shape": list(array.shape)} for name, array in params.items()
