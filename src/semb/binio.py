@@ -83,22 +83,28 @@ def write_atomic(path, *chunks: bytes) -> None:
 
 
 class ByteReader:
-    """Sequential reader over one file's bytes with truncation checks."""
+    """Sequential reader of one open file; a read past its end is a TruncatedError, even once the file shrinks.
 
-    def __init__(self, data: bytes, what: str):
-        self.data = data
+    `crc` is the CRC-32 of the bytes read since it was last set to 0."""
+
+    def __init__(self, fh, what: str):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
+        self.crc = 0
         self.what = what
 
-    def _advance(self, n: int) -> int:
-        """Step over `n` bytes; returns where they start."""
-        if self.pos + n > len(self.data):
+    def _step(self, data, got: int, n: int):
+        """Step over `data`, the `got` of `n` bytes asked for that a read returned."""
+        if got != n:
             raise TruncatedError(f"{self.what}: expected {n} more bytes at offset {self.pos}")
+        self.crc = zlib.crc32(data, self.crc)
         self.pos += n
-        return self.pos - n
+        return data
 
     def take(self, n: int) -> bytes:
-        return self.data[self._advance(n) : self.pos]
+        data = self.fh.read(n)
+        return self._step(data, len(data), n)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -110,12 +116,12 @@ class ByteReader:
         return self.take(self.u32())
 
     def f32_array(self, count: int) -> np.ndarray:
-        """The next `count` floats, copied once into an aligned, writable array of their own."""
-        start = self._advance(count * 4)
-        return np.frombuffer(self.data, dtype="<f4", count=count, offset=start).copy()
+        """The next `count` floats, read once into a fresh aligned, writable array."""
+        array = np.empty(min(count, (self.size - self.pos) // 4), dtype="<f4")  # no more than the file holds
+        return self._step(array, self.fh.readinto(array), count * 4)
 
     def expect_magic(self, magic: bytes):
-        got = self.take(len(magic)) if len(self.data) >= len(magic) else b""
+        got = self.take(len(magic)) if self.size >= len(magic) else b""
         if got != magic:
             raise FormatError(f"{self.what}: bad magic {got!r}, expected {magic!r}")
 
@@ -124,14 +130,12 @@ class ByteReader:
         if version != supported:
             raise VersionError(f"{self.what}: version {version} not supported (reader handles {supported})")
 
-    def verify_crc_trailer(self, start: int = 0):
-        """Check the final u32 CRC over bytes[start:here]; must consume the rest."""
-        if self.pos + 4 > len(self.data):
+    def verify_crc_trailer(self):
+        """Check the final u32 against `crc`; it must end the file."""
+        if self.pos + 4 > self.size:
             raise TruncatedError(f"{self.what}: missing checksum trailer")
-        if self.pos + 4 != len(self.data):
-            raise FormatError(f"{self.what}: {len(self.data) - self.pos - 4} unexpected trailing bytes")
-        stored = struct.unpack_from("<I", self.data, self.pos)[0]
-        actual = zlib.crc32(memoryview(self.data)[start : self.pos]) & 0xFFFFFFFF
+        if self.pos + 4 != self.size:
+            raise FormatError(f"{self.what}: {self.size - self.pos - 4} unexpected trailing bytes")
+        actual, stored = self.crc, self.u32()
         if stored != actual:
             raise ChecksumError(f"{self.what}: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})")
-        self.pos += 4

@@ -16,6 +16,7 @@ be loaded (or a single tensor seeked to) with no side files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import zlib
@@ -90,62 +91,67 @@ def load_checkpoint(path):
     depending on what is wrong with the file, NaN or inf weights included.
     """
     with open(path, "rb") as fh:
-        reader = ByteReader(fh.read(), what=str(path))
-    reader.expect_magic(MAGIC)
-    reader.expect_version(VERSION)
-    try:
-        manifest = json.loads(reader.block().decode("utf-8"))
-    except JSON_ERRORS as exc:  # UnicodeDecodeError is a ValueError too
-        raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest is not a JSON object")
-    for key in ("config", "pooling", "include_special", "vocab", "objective", "steps", "params"):
-        if key not in manifest:
-            raise FormatError(f"{path}: manifest missing key {key!r}")
-    if not isinstance(manifest["config"], dict):
-        raise FormatError(f"{path}: manifest config is not a JSON object")
-    if not isinstance(manifest["pooling"], str):
-        raise FormatError(f"{path}: manifest pooling {manifest['pooling']!r} is not a string")
-    if not isinstance(manifest["include_special"], bool):
-        raise FormatError(f"{path}: manifest include_special {manifest['include_special']!r} is not a boolean")
-    if not isinstance(manifest["vocab"], list) or not all(isinstance(token, str) for token in manifest["vocab"]):
-        raise FormatError(f"{path}: manifest vocab is not a list of strings")
-    if manifest["objective"] is not None and not isinstance(manifest["objective"], dict):
-        raise FormatError(f"{path}: manifest objective {manifest['objective']!r} is not a JSON object or null")
-    if not _is_int(manifest["steps"]) or manifest["steps"] < 0:
-        raise FormatError(f"{path}: manifest steps {manifest['steps']!r} is not a non-negative integer")
-    if not isinstance(manifest["params"], list):
-        raise FormatError(f"{path}: manifest params is not a list")
+        reader = ByteReader(fh, what=str(path))
+        reader.expect_magic(MAGIC)
+        reader.expect_version(VERSION)
+        try:
+            manifest = json.loads(reader.block().decode("utf-8"))
+        except JSON_ERRORS as exc:  # UnicodeDecodeError is a ValueError too
+            raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise FormatError(f"{path}: manifest is not a JSON object")
+        for key in ("config", "pooling", "include_special", "vocab", "objective", "steps", "params"):
+            if key not in manifest:
+                raise FormatError(f"{path}: manifest missing key {key!r}")
+        if not isinstance(manifest["config"], dict):
+            raise FormatError(f"{path}: manifest config is not a JSON object")
+        if not isinstance(manifest["pooling"], str):
+            raise FormatError(f"{path}: manifest pooling {manifest['pooling']!r} is not a string")
+        if not isinstance(manifest["include_special"], bool):
+            raise FormatError(f"{path}: manifest include_special {manifest['include_special']!r} is not a boolean")
+        if not isinstance(manifest["vocab"], list) or not set(map(type, manifest["vocab"])) <= {str}:
+            raise FormatError(f"{path}: manifest vocab is not a list of strings")
+        if manifest["objective"] is not None and not isinstance(manifest["objective"], dict):
+            raise FormatError(f"{path}: manifest objective {manifest['objective']!r} is not a JSON object or null")
+        if not _is_int(manifest["steps"]) or manifest["steps"] < 0:
+            raise FormatError(f"{path}: manifest steps {manifest['steps']!r} is not a non-negative integer")
+        if not isinstance(manifest["params"], list):
+            raise FormatError(f"{path}: manifest params is not a list")
 
-    payload_start = reader.pos
-    params = {}
-    for entry in manifest["params"]:
-        if (
-            not isinstance(entry, dict)
-            or not {"name", "shape", "offset"} <= set(entry)
-            or not isinstance(entry["name"], str)
-            or not isinstance(entry["shape"], list)
-            or not all(_is_int(s) and s >= 0 for s in entry["shape"])
-            or not _is_int(entry["offset"])
-        ):
-            raise FormatError(f"{path}: malformed parameter entry {entry!r}")
-        actual_offset = reader.pos - payload_start
-        if entry["offset"] != actual_offset:
-            raise FormatError(
-                f"{path}: parameter {entry['name']!r} declares offset {entry['offset']}"
-                f" but its data starts at {actual_offset}"
-            )
-        shape = tuple(entry["shape"])
-        array = reader.f32_array(math.prod(shape)).reshape(shape)
-        if not np.isfinite(array).all():
-            raise FormatError(f"{path}: parameter {entry['name']!r} holds a value that is not finite")
-        params[entry["name"]] = array
-    reader.verify_crc_trailer(start=payload_start)
-    return manifest, params
+        payload_start = reader.pos
+        reader.crc = 0  # the checksum covers the tensor payload alone
+        params = {}
+        for entry in manifest["params"]:
+            if (
+                not isinstance(entry, dict)
+                or not {"name", "shape", "offset"} <= set(entry)
+                or not isinstance(entry["name"], str)
+                or not isinstance(entry["shape"], list)
+                or not all(_is_int(s) and s >= 0 for s in entry["shape"])
+                or not _is_int(entry["offset"])
+            ):
+                raise FormatError(f"{path}: malformed parameter entry {entry!r}")
+            actual_offset = reader.pos - payload_start
+            if entry["offset"] != actual_offset:
+                raise FormatError(
+                    f"{path}: parameter {entry['name']!r} declares offset {entry['offset']}"
+                    f" but its data starts at {actual_offset}"
+                )
+            shape = tuple(entry["shape"])
+            array = reader.f32_array(math.prod(shape)).reshape(shape)
+            if not np.isfinite(array).all():
+                raise FormatError(f"{path}: parameter {entry['name']!r} holds a value that is not finite")
+            params[entry["name"]] = array
+        reader.verify_crc_trailer()
+        return manifest, params
 
 
 def encoder_config(path, manifest: dict) -> EncoderConfig:
     """The manifest's encoder config; one that `EncoderConfig` refuses is a FormatError naming the file."""
+    for field in dataclasses.fields(EncoderConfig):  # JSON's true and 2.0 would pass the dataclass's range checks
+        value = manifest["config"].get(field.name, 0)
+        if isinstance(value, bool) or not isinstance(value, int if field.type == "int" else (int, float)):
+            raise FormatError(f"{path}: manifest config {field.name} must be of type {field.type}, got {value!r}")
     try:
         return EncoderConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:

@@ -31,7 +31,7 @@ import numpy as np
 
 from semb.binio import DimensionMismatchError, FormatError, write_atomic
 from semb.checkpoint import VERSION as CHECKPOINT_VERSION
-from semb.checkpoint import encoder_config, load_checkpoint
+from semb.checkpoint import load_checkpoint
 from semb.data import (
     JSON_ERRORS,
     DataFormatError,
@@ -525,7 +525,6 @@ def cmd_bench(args, cfg: dict) -> dict:
 def cmd_inspect(args, cfg: dict) -> dict:
     path = args.checkpoint
     manifest, params = load_checkpoint(path)
-    encoder_config(path, manifest)  # a bad config: inspect's own message, where load's names the file twice
     SentenceEmbedder.from_checkpoint(path, manifest, params)  # inspect reads only what load accepts
     entries = [
         {"name": name, "shape": list(array.shape)} for name, array in params.items()

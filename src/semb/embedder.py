@@ -191,8 +191,8 @@ class SentenceEmbedder:
     def from_checkpoint(cls, path, manifest: dict, params: dict) -> "SentenceEmbedder":
         """The model `load_checkpoint(path)` read, checked against `Encoder.layout`; it takes `params` uncopied."""
         # the CRC covers only the tensor payload, so a manifest can parse and still be wrong
+        config = encoder_config(path, manifest)
         try:
-            config = encoder_config(path, manifest)
             layout = Encoder.layout(config)
             vocab = Vocab(manifest["vocab"])
             _check_parts(vocab, config, manifest["pooling"])

@@ -6,8 +6,9 @@ inference path: `embed_corpus` adds ids to its rows, and
 
 A store keeps one contiguous float32 matrix and, built on first use
 after an add, its float64 row norms, dead-row mask and float32 unit
-rows; a row whose norm is zero, NaN or infinite is dead, its unit row
-zero and its score -inf. `top_k` scores the unit rows in float32, then
+rows, in blocks; a row whose norm is zero, NaN or infinite is dead,
+its unit row zero and its score -inf. A loaded store indexes its ids
+when `in`, `get` or an add first needs them. `top_k` scores the unit rows in float32, then
 re-scores in float64 only rows that could reach the top k, so it
 returns what a float64 sort of every row would. `most_similar_pair`
 scores the upper triangle in float32 tiles of the unit rows, on helper
@@ -55,6 +56,8 @@ STORE_VERSION = 1
 
 # rows, and columns, of one GEMM tile in the all-pairs scan
 _BLOCK_ROWS = 512
+# rows normalized at a time, so the float64 scratch stays a few MB however large the store
+_NORM_ROWS = 4096
 
 
 class VectorStore:
@@ -69,7 +72,7 @@ class VectorStore:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
         self._ids: list[str] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int] | None = {}  # id -> row; None until first use after a load
         self._buffer = np.empty((0, dim), dtype=np.float32)
         self._derived: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -77,7 +80,12 @@ class VectorStore:
         return len(self._ids)
 
     def __contains__(self, id_: str) -> bool:
-        return id_ in self._index
+        return id_ in self._row_of()
+
+    def _row_of(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = dict(zip(self._ids, range(len(self._ids))))
+        return self._index
 
     @property
     def ids(self) -> list[str]:
@@ -95,12 +103,16 @@ class VectorStore:
     def _normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float64 row norms, the dead-row mask (norm zero, NaN or infinite) and float32 unit rows, zero where dead."""
         if self._derived is None:
-            rows = self.matrix.astype(np.float64)
-            norms = np.linalg.norm(rows, axis=1)
-            dead = ~(norms > 0.0) | np.isinf(norms)
-            rows /= np.where(dead, 1.0, norms)[:, None]
-            rows[dead] = 0.0
-            self._derived = (norms, dead, rows.astype(np.float32))
+            # each row's norm is its own pairwise sum and the rest is elementwise, so blocks keep every bit
+            norms, dead, unit = np.empty(len(self)), np.empty(len(self), dtype=bool), np.empty_like(self.matrix)
+            for block in (slice(start, start + _NORM_ROWS) for start in range(0, len(self), _NORM_ROWS)):
+                rows = self.matrix[block].astype(np.float64)
+                norms[block] = np.linalg.norm(rows, axis=1)
+                dead[block] = ~(norms[block] > 0.0) | np.isinf(norms[block])
+                rows /= np.where(dead[block], 1.0, norms[block])[:, None]
+                rows[dead[block]] = 0.0
+                unit[block] = rows
+            self._derived = (norms, dead, unit)
         return self._derived
 
     def _new_index(self, ids: list) -> dict[str, int]:
@@ -108,9 +120,9 @@ class VectorStore:
 
         Checks made in C pass a good list; only a refused one is walked id by id, to name its first bad id.
         """
-        start = len(self._ids)
+        start, index = len(self._ids), self._row_of()
         new = dict(zip(ids, range(start, start + len(ids)))) if set(map(type, ids)) <= {str} else {}
-        if len(new) == len(ids) and "" not in new and "\n" not in "".join(ids) and self._index.keys().isdisjoint(new):
+        if len(new) == len(ids) and "" not in new and "\n" not in "".join(ids) and index.keys().isdisjoint(new.keys()):
             return new
         new = {}
         for row, id_ in enumerate(ids, start):
@@ -118,7 +130,7 @@ class VectorStore:
                 raise ValueError("vector id must be a non-empty string")
             if "\n" in id_:
                 raise ValueError(f"vector id may not contain newlines: {id_!r}")
-            if id_ in self._index or id_ in new:
+            if id_ in index or id_ in new:
                 raise ValueError(f"duplicate vector id {id_!r}")
             new[id_] = row
         return new
@@ -149,9 +161,7 @@ class VectorStore:
         self._derived = None
 
     def get(self, id_: str) -> np.ndarray:
-        if id_ not in self._index:
-            raise KeyError(id_)
-        return self._buffer[self._index[id_]].copy()
+        return self._buffer[self._row_of()[id_]].copy()
 
     def save(self, path) -> None:
         """Write the store as one `.semv` file; the rows go out from the buffer, not from a copy."""
@@ -165,24 +175,25 @@ class VectorStore:
     def load(cls, path) -> "VectorStore":
         """Read a `.semv` file; any structural fault, bad ids included, is a `FormatError`."""
         with open(path, "rb") as fh:
-            reader = ByteReader(fh.read(), what=str(path))
-        reader.expect_magic(STORE_MAGIC)
-        reader.expect_version(STORE_VERSION)
-        dim = reader.u32()
-        count = reader.u64()
-        id_block = reader.block()
-        values = reader.f32_array(count * dim)
-        reader.verify_crc_trailer()
+            reader = ByteReader(fh, what=str(path))
+            reader.expect_magic(STORE_MAGIC)
+            reader.expect_version(STORE_VERSION)
+            dim = reader.u32()
+            count = reader.u64()
+            id_block = reader.block()
+            values = reader.f32_array(count * dim)
+            reader.verify_crc_trailer()
         try:
             ids = id_block.decode("utf-8").split("\n") if id_block else []
             if len(ids) != count:
                 raise ValueError(f"header says {count} vectors but id block lists {len(ids)}")
             store = cls(dim)
-            store._index = store._new_index(ids)
+            if len(distinct := set(ids)) != count or "" in distinct:  # the per-id walk names the first bad id
+                store._new_index(ids)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        # the reader's copy is aligned, writable and C-contiguous, so it becomes the buffer as it is
-        store._ids, store._buffer = ids, values.reshape(count, dim)
+        # the reader's fresh aligned array becomes the buffer as it is; ids are indexed on first use
+        store._ids, store._index, store._buffer = ids, None, values.reshape(count, dim)
         return store
 
 
@@ -200,8 +211,8 @@ def embed_corpus(embedder, sentences, batch_size: int = 32, smart: bool = True, 
         raise ValueError("embed_corpus needs a non-empty corpus")
     ids = [id_ for id_, _ in sentences]
     store = VectorStore(embedder.dim)
-    store._new_index(ids)
-    store.add_many(ids, embedder.embed([text for _, text in sentences], batch_size=batch_size, smart=smart))
+    store._index = store._new_index(ids)  # embed's rows are a fresh float32 (n, dim) array: the buffer as it is
+    store._ids, store._buffer = ids, embedder.embed([text for _, text in sentences], batch_size=batch_size, smart=smart)
     return store
 
 

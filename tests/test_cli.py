@@ -238,6 +238,60 @@ def test_corrupt_manifest_config_exits_3_naming_the_file(
     assert str(bad) in json.loads(out)["error"]["message"]
 
 
+def _checkpoint_with_config(trained_run, path, **change):
+    manifest, params = load_checkpoint(trained_run / "checkpoint.semb")
+    save_checkpoint(path, {**manifest["config"], **change}, manifest["pooling"], manifest["include_special"],
+                    manifest["vocab"], params)
+    return path
+
+
+@pytest.mark.parametrize("command", ["load", "embed", "inspect"])
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("n_heads", 2.0, "int"), ("n_layers", True, "int"), ("dim", "16", "int"), ("dropout", False, "float"),
+     ("dropout", "0.1", "float")],
+    ids=["float-n_heads", "bool-n_layers", "string-dim", "bool-dropout", "string-dropout"],
+)
+def test_a_manifest_config_value_of_the_wrong_type_exits_3_naming_the_field_once(
+    workspace, trained_run, capsys, tmp_path, command, field, value, kind
+):
+    # each value equals the trained one (2.0 == 2, True == 1), so only its type is wrong
+    bad = _checkpoint_with_config(trained_run, tmp_path / "typed.semb", **{field: value})
+    said = f"{bad}: manifest config {field} must be of type {kind}, got {value!r}"
+    if command == "load":
+        with pytest.raises(FormatError) as refused:
+            SentenceEmbedder.load(bad)
+        assert str(refused.value) == said
+        return
+    argv = {
+        "embed": ["embed", "--data.checkpoint", str(bad), "--data.corpus", str(workspace / "corpus.txt"),
+                  "--runs-root", str(workspace / "runs"), "--name", "typed"],
+        "inspect": ["inspect", str(bad)],
+    }[command]
+    code, out, _ = run_cli(capsys, argv + ["--quiet"])
+    assert code == 3
+    assert strict_json(out)["error"]["message"] == said
+
+
+@pytest.mark.parametrize("command", ["load", "embed", "inspect"])
+def test_a_config_the_encoder_refuses_names_the_file_once(workspace, trained_run, capsys, tmp_path, command):
+    bad = _checkpoint_with_config(trained_run, tmp_path / "zero-dim.semb", dim=0)
+    said = f"{bad}: manifest config rejected: dim must be at least 1, got 0"
+    if command == "load":
+        with pytest.raises(FormatError) as refused:
+            SentenceEmbedder.load(bad)
+        assert str(refused.value) == said
+        return
+    argv = {
+        "embed": ["embed", "--data.checkpoint", str(bad), "--data.corpus", str(workspace / "corpus.txt"),
+                  "--runs-root", str(workspace / "runs"), "--name", "zero-dim"],
+        "inspect": ["inspect", str(bad)],
+    }[command]
+    code, out, _ = run_cli(capsys, argv + ["--quiet"])
+    assert code == 3
+    assert strict_json(out)["error"]["message"] == said
+
+
 def _set_first_param(field, value):
     def change(manifest):
         manifest["params"][0][field] = value

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semb
+import semb.binio
 import semb.embedder
 import semb.search
 from semb.binio import (
@@ -255,8 +257,8 @@ def test_a_repeated_id_anywhere_in_a_store_file_names_its_first_repeat(tmp_path_
     assert str(info.value) == f"{path}: duplicate vector id {first_repeat!r}"
 
 
-def test_store_load_peaks_at_most_2_6_times_the_file_size(tmp_path):
-    # the file's bytes plus one copy of the rows, plus the ids and their index
+def test_store_load_peaks_at_most_1_6_times_the_file_size(tmp_path):
+    # the file's rows read once into their array, plus the id block, the ids and one set of them
     store = VectorStore(64)
     store.add_many([f"s{i:06d}" for i in range(10_000)], np.random.default_rng(0).normal(size=(10_000, 64)))
     path = tmp_path / "10k.semv"
@@ -268,7 +270,111 @@ def test_store_load_peaks_at_most_2_6_times_the_file_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * path.stat().st_size
+    assert peak <= 1.6 * path.stat().st_size
+
+
+def test_normalizing_a_200k_row_store_peaks_at_most_1_3_times_its_rows():
+    # the float32 unit rows, the norms and the mask, plus one block's float64 scratch
+    store = VectorStore(64)
+    store.add_many([f"s{i:06d}" for i in range(200_000)], np.random.default_rng(0).normal(size=(200_000, 64)))
+    tracemalloc.start()
+    try:
+        store._normalized()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * store.matrix.nbytes
+
+
+def whole_matrix_normalized(matrix):
+    """The one-pass float64 normalization that `_normalized` computes in row blocks, kept as its reference."""
+    rows = matrix.astype(np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    dead = ~(norms > 0.0) | np.isinf(norms)
+    rows /= np.where(dead, 1.0, norms)[:, None]
+    rows[dead] = 0.0
+    return norms, dead, rows.astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [1, 4_095, 4_096, 4_097, 8_193])
+def test_blocked_normalization_keeps_every_bit_of_the_whole_matrix_one(n):
+    assert semb.search._NORM_ROWS == 4_096
+    rng = np.random.default_rng(n)
+    rows = (rng.normal(size=(n, 9)) * np.exp(rng.normal(scale=10, size=(n, 1)))).astype(np.float32)
+    # dead rows at and beside each block edge: zero, infinite, NaN, and a norm that overflows float32 alone
+    for edge in range(0, n + 1, 4_096):
+        for row, value in zip((edge - 2, edge - 1, edge, edge + 1), (0.0, np.inf, np.nan, 3e38)):
+            if 0 <= row < n:
+                rows[row, row % 9] = value
+                if value == 0.0:
+                    rows[row] = 0.0
+    store = VectorStore(9)
+    store.add_many([f"r{i}" for i in range(n)], rows)
+    got = store._normalized()
+    for have, want in zip(got, whole_matrix_normalized(store.matrix)):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+    if n > 1:
+        assert got[1].any()
+
+
+def test_a_loaded_store_indexes_its_ids_on_first_use(tmp_path):
+    ids = AWKWARD_IDS + [f"r{i}" for i in range(50)]
+    rows = np.random.default_rng(4).normal(size=(len(ids), 3)).astype(np.float32)
+    store = VectorStore(3)
+    store.add_many(ids, rows)
+    store.save(tmp_path / "s.semv")
+    back = VectorStore.load(tmp_path / "s.semv")
+    top_k(back, np.ones(3), 3)
+    most_similar_pair(back)
+    assert back._index is None  # search reads rows by number alone
+    assert all(id_ in back for id_ in ids) and "absent" not in back
+    for i, id_ in enumerate(ids):
+        assert back.get(id_).tobytes() == rows[i].tobytes()
+    with pytest.raises(KeyError):
+        back.get("absent")
+    with pytest.raises(ValueError, match="duplicate vector id 'café'"):
+        VectorStore.load(tmp_path / "s.semv").add("café", np.ones(3))
+    with pytest.raises(ValueError, match="duplicate vector id 'Ωmega'"):
+        VectorStore.load(tmp_path / "s.semv").add_many(["new", "Ωmega"], np.ones((2, 3)))
+    fresh = VectorStore.load(tmp_path / "s.semv")
+    fresh.add_many(["new", "日本"], np.ones((2, 3)))
+    assert fresh.ids == ids + ["new", "日本"] and "日本" in fresh and fresh.get(ids[-1]).tobytes() == rows[-1].tobytes()
+
+
+def test_embed_corpus_indexes_its_ids_once(monkeypatch):
+    calls = []
+    original = VectorStore._new_index
+    monkeypatch.setattr(VectorStore, "_new_index", lambda self, ids: calls.append(len(ids)) or original(self, ids))
+    store = embed_corpus(small_embedder(), [("a", "red fish"), ("b", "blue bird"), ("c", "green stone")])
+    assert calls == [3]
+    assert store.ids == ["a", "b", "c"] and "b" in store and store.matrix.shape == (3, store.dim)
+    with pytest.raises(ValueError, match="duplicate vector id 'a'"):
+        store.add("a", np.ones(store.dim))
+
+
+def test_a_store_that_shrinks_while_it_loads_is_truncated(tmp_path, monkeypatch):
+    # the reader takes the size when it opens the file; a read that then comes back short is truncation too
+    store = VectorStore(2)
+    store.add_many(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+    store.save(tmp_path / "s.semv")
+    raw = (tmp_path / "s.semv").read_bytes()
+    opened_at = len(raw)
+    real_init = semb.binio.ByteReader.__init__
+
+    def open_then_shrink(self, fh, what):
+        real_init(self, fh, what)
+        self.size = opened_at
+
+    for cut in range(len(raw)):
+        (tmp_path / "cut.semv").write_bytes(raw[:cut])
+        with monkeypatch.context() as patched:
+            patched.setattr(semb.binio.ByteReader, "__init__", open_then_shrink)
+            with pytest.raises(TruncatedError) as shrank:
+                VectorStore.load(tmp_path / "cut.semv")
+        if 24 <= cut < len(raw) - 4:  # within the id block or the rows, both read whole
+            with pytest.raises(TruncatedError, match=f"^{re.escape(str(shrank.value))}$"):
+                VectorStore.load(tmp_path / "cut.semv")
 
 
 def per_id_index(store, ids):
