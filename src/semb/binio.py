@@ -94,17 +94,16 @@ class ByteReader:
         self.crc = 0
         self.what = what
 
-    def _step(self, data, got: int, n: int):
-        """Step over `data`, the `got` of `n` bytes asked for that a read returned."""
-        if got != n:
-            raise TruncatedError(f"{self.what}: expected {n} more bytes at offset {self.pos}")
-        self.crc = zlib.crc32(data, self.crc)
-        self.pos += n
-        return data
-
-    def take(self, n: int) -> bytes:
-        data = self.fh.read(n)
-        return self._step(data, len(data), n)
+    def take(self, n: int, into=None):
+        """The next `n` bytes, or the array `into()` makes, filled with them; nothing is allocated past the file's end."""
+        if self.pos + n <= self.size:
+            data = self.fh.read(n) if into is None else into()
+            got = len(data) if into is None else self.fh.readinto(data)
+            if got == n:  # fewer: the file shrank under the reader
+                self.crc = zlib.crc32(data, self.crc)
+                self.pos += n
+                return data
+        raise TruncatedError(f"{self.what}: expected {n} more bytes at offset {self.pos}")
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -117,8 +116,7 @@ class ByteReader:
 
     def f32_array(self, count: int) -> np.ndarray:
         """The next `count` floats, read once into a fresh aligned, writable array."""
-        array = np.empty(min(count, (self.size - self.pos) // 4), dtype="<f4")  # no more than the file holds
-        return self._step(array, self.fh.readinto(array), count * 4)
+        return self.take(count * 4, lambda: np.empty(count, dtype="<f4"))
 
     def expect_magic(self, magic: bytes):
         got = self.take(len(magic)) if self.size >= len(magic) else b""

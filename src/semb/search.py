@@ -6,15 +6,15 @@ inference path: `embed_corpus` adds ids to its rows, and
 
 A store keeps one contiguous float32 matrix and, built on first use
 after an add, its float64 row norms, dead-row mask and float32 unit
-rows, in blocks; a row whose norm is zero, NaN or infinite is dead,
-its unit row zero and its score -inf. A loaded store indexes its ids
-when `in`, `get` or an add first needs them. `top_k` scores the unit rows in float32, then
-re-scores in float64 only rows that could reach the top k, so it
-returns what a float64 sort of every row would. `most_similar_pair`
-scores the upper triangle in float32 tiles of the unit rows, on helper
-threads by `embed`'s rule, then re-scores in float64 only pairs near
-the best so far, one pair at a time, so it gives a float64 scan's
-answer and equal rows tie exactly.
+rows, in blocks; a row whose norm is zero, NaN or infinite is dead, its
+unit row zero and its score -inf. A loaded store indexes its ids when
+`in`, `get` or an add first needs them. `top_k` scores the unit rows in
+float32, then re-scores in float64 only rows that could reach the top k,
+so it returns what a float64 sort of every row would.
+`most_similar_pair` scores the upper triangle in float32 tiles of the
+unit rows, on helper threads by `embed`'s rule, then re-scores in
+float64 only pairs near the best so far, one pair at a time, so it gives
+a float64 scan's answer and equal rows tie exactly.
 
 The store serializes to a single binary file (magic "SEMV"): u32
 version, u32 dim, u64 count, a length-prefixed newline-joined id block,

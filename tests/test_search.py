@@ -353,6 +353,23 @@ def test_embed_corpus_indexes_its_ids_once(monkeypatch):
         store.add("a", np.ones(store.dim))
 
 
+@pytest.mark.parametrize(
+    "count, id_block_len", [(2**40, 1), (1, 2**32 - 1)], ids=["rows-past-the-end", "id-block-past-the-end"]
+)
+def test_a_header_that_claims_more_than_the_file_holds_allocates_nothing_for_it(tmp_path, count, id_block_len):
+    body = STORE_MAGIC + pack_u32(STORE_VERSION) + pack_u32(64) + pack_u64(count) + pack_u32(id_block_len) + b"a"
+    path = tmp_path / "claims.semv"
+    path.write_bytes(finish_with_crc(body + bytes(256)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedError, match="more bytes at offset"):
+            VectorStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_a_store_that_shrinks_while_it_loads_is_truncated(tmp_path, monkeypatch):
     # the reader takes the size when it opens the file; a read that then comes back short is truncation too
     store = VectorStore(2)
