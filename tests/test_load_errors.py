@@ -6,7 +6,7 @@ by the loaders that read the whole file into memory before parsing it,
 so a loader that reads differently must still refuse each damaged file
 in the same words. Rewrite it only for a change meant to alter a message:
 
-    python3 tests/test_load_errors.py
+    PYTHONPATH=src python3 tests/test_load_errors.py
 """
 
 import hashlib
@@ -22,7 +22,7 @@ from semb.encoder import Encoder, EncoderConfig, Vocab
 from semb.search import VectorStore
 
 GOLDEN = Path(__file__).with_name("load_errors.json")
-HEADER = {".semb": None, ".semv": 24}  # where a store's rows start; a checkpoint's depends on its manifest
+SUFFIXES = (".semb", ".semv")
 
 
 def small_files(tmp_path) -> dict[str, bytes]:
@@ -33,14 +33,14 @@ def small_files(tmp_path) -> dict[str, bytes]:
     store = VectorStore(2)
     store.add_many(["a", "é", "bc"], np.arange(6, dtype=np.float32).reshape(3, 2) - 2.5)
     store.save(tmp_path / "small.semv")
-    return {suffix: (tmp_path / f"small{suffix}").read_bytes() for suffix in HEADER}
+    return {suffix: (tmp_path / f"small{suffix}").read_bytes() for suffix in SUFFIXES}
 
 
 def payload_span(suffix: str, raw: bytes) -> range:
     """Offsets of the float32 payload: after the header (and id block or manifest), before the CRC trailer."""
-    if suffix == ".semv":
-        start = HEADER[suffix] + int.from_bytes(raw[20:24], "little")
-    else:
+    if suffix == ".semv":  # magic, version, dim, count, then the id block's length
+        start = 24 + int.from_bytes(raw[20:24], "little")
+    else:  # magic, version, then the manifest's length
         start = 12 + int.from_bytes(raw[8:12], "little")
     return range(start, len(raw) - 4)
 
@@ -81,16 +81,16 @@ def table(tmp_path) -> dict:
 def test_every_damaged_file_is_refused_as_the_golden_table_says(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = table(tmp_path)
-    for suffix in HEADER:
+    for suffix in SUFFIXES:
         assert got[suffix]["sha256"] == golden[suffix]["sha256"], f"the small {suffix} file changed"
         assert list(got[suffix]["cases"]) == list(golden[suffix]["cases"])
         wrong = {name: (got[suffix]["cases"][name], want) for name, want in golden[suffix]["cases"].items()
                  if got[suffix]["cases"][name] != want}
         assert wrong == {}, f"{len(wrong)} {suffix} cases differ (got, golden): {dict(list(wrong.items())[:5])}"
-    assert all(kind != "ok" for suffix in HEADER for kind, _ in golden[suffix]["cases"].values())
+    assert all(kind != "ok" for suffix in SUFFIXES for kind, _ in golden[suffix]["cases"].values())
 
 
-@pytest.mark.parametrize("suffix", list(HEADER))
+@pytest.mark.parametrize("suffix", SUFFIXES)
 def test_the_golden_table_covers_every_cut_and_every_payload_byte(suffix):
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))[suffix]["cases"]
     cuts = [name for name in cases if name.startswith("truncate ")]
@@ -106,12 +106,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         golden = table(Path(tmp))
     lines = ["{"]
-    for s, suffix in enumerate(HEADER):
+    for s, suffix in enumerate(SUFFIXES):
         lines.append(f'  "{suffix}": {{"sha256": "{golden[suffix]["sha256"]}", "cases": {{')
         items = list(golden[suffix]["cases"].items())
         for i, (name, result) in enumerate(items):
             lines.append(f"    {json.dumps(name)}: {json.dumps(result, ensure_ascii=False)}" + ("," if i < len(items) - 1 else ""))
-        lines.append("  }}" + ("," if s < len(HEADER) - 1 else ""))
+        lines.append("  }}" + ("," if s < len(SUFFIXES) - 1 else ""))
     lines.append("}")
     GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
