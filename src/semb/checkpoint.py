@@ -16,7 +16,6 @@ be loaded (or a single tensor seeked to) with no side files.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import zlib
@@ -25,9 +24,8 @@ import numpy as np
 
 from .binio import ByteReader, FormatError, pack_block, pack_u32, write_atomic
 from .data import JSON_ERRORS
-from .encoder import EncoderConfig
 
-__all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint", "encoder_config"]
+__all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"SEMB"
 VERSION = 1
@@ -79,11 +77,6 @@ def save_checkpoint(
     )
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_checkpoint(path):
     """Read a checkpoint; returns (manifest, params) with float32 arrays.
 
@@ -94,8 +87,9 @@ def load_checkpoint(path):
         reader = ByteReader(fh, what=str(path))
         reader.expect_magic(MAGIC)
         reader.expect_version(VERSION)
+        block = reader.block()  # outside the try: a short block is a TruncatedError, not bad JSON
         try:
-            manifest = json.loads(reader.block().decode("utf-8"))
+            manifest = json.loads(block.decode("utf-8"))
         except JSON_ERRORS as exc:  # UnicodeDecodeError is a ValueError too
             raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from None
         if not isinstance(manifest, dict):
@@ -113,7 +107,7 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: manifest vocab is not a list of strings")
         if manifest["objective"] is not None and not isinstance(manifest["objective"], dict):
             raise FormatError(f"{path}: manifest objective {manifest['objective']!r} is not a JSON object or null")
-        if not _is_int(manifest["steps"]) or manifest["steps"] < 0:
+        if type(manifest["steps"]) is not int or manifest["steps"] < 0:
             raise FormatError(f"{path}: manifest steps {manifest['steps']!r} is not a non-negative integer")
         if not isinstance(manifest["params"], list):
             raise FormatError(f"{path}: manifest params is not a list")
@@ -127,8 +121,8 @@ def load_checkpoint(path):
                 or not {"name", "shape", "offset"} <= set(entry)
                 or not isinstance(entry["name"], str)
                 or not isinstance(entry["shape"], list)
-                or not all(_is_int(s) and s >= 0 for s in entry["shape"])
-                or not _is_int(entry["offset"])
+                or not all(type(s) is int and s >= 0 for s in entry["shape"])
+                or type(entry["offset"]) is not int
             ):
                 raise FormatError(f"{path}: malformed parameter entry {entry!r}")
             actual_offset = reader.pos - payload_start
@@ -144,15 +138,3 @@ def load_checkpoint(path):
             params[entry["name"]] = array
         reader.verify_crc_trailer()
         return manifest, params
-
-
-def encoder_config(path, manifest: dict) -> EncoderConfig:
-    """The manifest's encoder config; one that `EncoderConfig` refuses is a FormatError naming the file."""
-    for field in dataclasses.fields(EncoderConfig):  # JSON's true and 2.0 would pass the dataclass's range checks
-        value = manifest["config"].get(field.name, 0)
-        if isinstance(value, bool) or not isinstance(value, int if field.type == "int" else (int, float)):
-            raise FormatError(f"{path}: manifest config {field.name} must be of type {field.type}, got {value!r}")
-    try:
-        return EncoderConfig(**manifest["config"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: manifest config rejected: {exc}") from None

@@ -37,6 +37,7 @@ from semb.data import (
     DataFormatError,
     _iter_jsonl,
     build_label_map,
+    check_value,
     load_labeled_texts,
     load_scored_pairs,
     load_triplets,
@@ -66,16 +67,16 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-# The full config schema with its defaults. Validation walks this: any
-# key not present here is rejected with its dotted path, and each value
-# must match the default's type (paths are strings, null until set).
-# The encoder, train and eval sections are the dataclasses' own fields;
-# the encoder section adds the embedder's pooling settings.
-_EMBEDDER_FIELDS = {"pooling": "mean", "include_special": True}
+# The full config schema with its defaults: any key not present here is
+# rejected with its dotted path. The encoder, train and eval sections are
+# the dataclasses' own fields, which check their own values; the encoder
+# section adds the embedder's pooling settings, name -> (annotation,
+# default), checked by the same rules. Paths are strings, null until set.
+_EMBEDDER_FIELDS = {"pooling": ("str", "mean"), "include_special": ("bool", True)}
 _DEFAULTS = {
     "encoder": {
         **{f.name: f.default for f in fields(EncoderConfig) if f.name != "vocab_size"},
-        **_EMBEDDER_FIELDS,
+        **{key: default for key, (_, default) in _EMBEDDER_FIELDS.items()},
     },
     "train": {f.name: f.default for f in fields(TrainConfig)},
     "eval": {f.name: f.default for f in fields(EvalConfig)},
@@ -92,30 +93,6 @@ _DEFAULTS = {
     },
 }
 
-_INT_MAX = int(np.iinfo(np.int64).max)
-
-
-def _check_field(path: str, value, default):
-    if default is None:  # file path slots
-        if value is not None and not isinstance(value, str):
-            raise CliError(EXIT_CONFIG, f"config field {path} must be a string path or null")
-    elif isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise CliError(EXIT_CONFIG, f"config field {path} must be a boolean")
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CliError(EXIT_CONFIG, f"config field {path} must be an integer")
-        # sizes, counts and seeds all reach NumPy, which holds no larger integer
-        if value > _INT_MAX:
-            raise CliError(EXIT_CONFIG, f"config field {path} must be at most {_INT_MAX}, got {value}")
-    elif isinstance(default, float):
-        # JSON's NaN and Infinity parse as floats, and an integer may be past float range
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-            raise CliError(EXIT_CONFIG, f"config field {path} must be a finite number")
-    elif not isinstance(value, str):
-        raise CliError(EXIT_CONFIG, f"config field {path} must be a string")
-
-
 def _merge_section(cfg: dict, section: str, content) -> None:
     if section not in _DEFAULTS:
         raise CliError(EXIT_CONFIG, f"unknown config section {section!r}")
@@ -124,9 +101,8 @@ def _merge_section(cfg: dict, section: str, content) -> None:
     for key, value in content.items():
         if key not in _DEFAULTS[section]:
             raise CliError(EXIT_CONFIG, f"unknown config field {section}.{key}")
-        _check_field(f"{section}.{key}", value, _DEFAULTS[section][key])
-        if isinstance(_DEFAULTS[section][key], float) and value is not None:
-            value = float(value)
+        if section == "data" and value is not None and not isinstance(value, str):  # file path slots
+            raise CliError(EXIT_CONFIG, f"config field {section}.{key} must be a string path or null")
         cfg[section][key] = value
 
 
@@ -166,14 +142,17 @@ def _load_config(args) -> dict:
 
 
 def _check_config(cfg: dict) -> None:
-    """Check every field of the merged config, whether or not the command uses it."""
-    for section, build in (("encoder", lambda: _encoder_config(cfg, Vocab([]).size)),
-                           ("train", lambda: TrainConfig(**cfg["train"])),
-                           ("eval", lambda: EvalConfig(**cfg["eval"]))):
+    """Check every field of the merged config, whether or not the command uses it, and keep each as checked."""
+    for section, build in (("encoder", lambda: vars(_encoder_config(cfg, Vocab([]).size))),
+                           ("encoder", lambda: {key: check_value(key, cfg["encoder"][key], kind)
+                                                for key, (kind, _) in _EMBEDDER_FIELDS.items()}),
+                           ("train", lambda: vars(TrainConfig(**cfg["train"]))),
+                           ("eval", lambda: vars(EvalConfig(**cfg["eval"])))):
         try:
-            build()
+            values = build()
         except ValueError as exc:  # the message starts with the field's name
             raise CliError(EXIT_CONFIG, f"config field {section}.{exc}")
+        cfg[section].update((k, v) for k, v in values.items() if k in cfg[section])
     _validate_choice(cfg["encoder"]["pooling"], POOLING_MODES, "encoder.pooling")
 
 

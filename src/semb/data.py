@@ -27,6 +27,8 @@ __all__ = [
     "build_label_map",
     "read_lines",
     "NLI_LABELS",
+    "check_fields",
+    "check_value",
 ]
 
 # json.loads: a ValueError for bad syntax or too many digits, RecursionError for deep nesting
@@ -34,6 +36,39 @@ JSON_ERRORS = (ValueError, RecursionError)
 
 # fixed mapping for inference-style labels so checkpoints agree across datasets
 NLI_LABELS = {"contradiction": 0, "entailment": 1, "neutral": 2}
+
+# sizes, counts and seeds all reach NumPy, which holds no larger integer
+_INT_MAX = 2**63 - 1
+
+
+def check_value(name: str, value, kind: str):
+    """`value` as a config field annotated `kind` ("int", "float", "bool" or "str") keeps it: a float as a float.
+
+    A bool is not an int, an int is at most 2**63 - 1 and a float is finite; a refusal is a
+    ValueError starting with `name`.
+    """
+    if kind == "float":
+        # JSON's NaN and Infinity parse as floats, and an integer may be past float range
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite number")
+        return float(value)
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer")
+        if value > _INT_MAX:
+            raise ValueError(f"{name} must be at most {_INT_MAX}, got {value}")
+    elif kind == "bool":
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a boolean")
+    elif not isinstance(value, str):
+        raise ValueError(f"{name} must be a string")
+    return value
+
+
+def check_fields(config) -> None:
+    """Check each field of the config dataclass `config` against its annotation, in order, and keep it as checked."""
+    for f in fields(config):  # under postponed annotations, f.type is the annotation's text
+        setattr(config, f.name, check_value(f.name, getattr(config, f.name), f.type))
 
 
 class DataFormatError(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import trainer
 from .binio import FormatError
-from .checkpoint import encoder_config, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import CLS_ID, PAD_ID, SEP_ID, Encoder, EncoderConfig, Vocab
 from .pooling import POOLING_MODES, pool
 from .tensor import Tensor, no_grad
@@ -191,13 +191,20 @@ class SentenceEmbedder:
     def from_checkpoint(cls, path, manifest: dict, params: dict) -> "SentenceEmbedder":
         """The model `load_checkpoint(path)` read, checked against `Encoder.layout`; it takes `params` uncopied."""
         # the CRC covers only the tensor payload, so a manifest can parse and still be wrong
-        config = encoder_config(path, manifest)
         try:
-            layout = Encoder.layout(config)
+            config = EncoderConfig(**manifest["config"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: manifest config rejected: {exc}") from None
+        # every layer holds parameters, so a file with fewer cannot match, and its layout could be huge
+        if config.n_layers > len(params):
+            raise FormatError(f"{path}: manifest config claims {config.n_layers} layers but the file holds"
+                              f" {len(params)} parameters")
+        try:
             vocab = Vocab(manifest["vocab"])
             _check_parts(vocab, config, manifest["pooling"])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: manifest rejected: {exc}") from None
+        layout = Encoder.layout(config)
         expected = {name for name, _, _ in layout}
         loaded = set(params)
         if expected != loaded:

@@ -7,7 +7,6 @@ forward, learned positions) built entirely from the autodiff ops in
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, asdict
 from itertools import repeat
@@ -15,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from . import tensor as T
-from .data import DataFormatError, read_lines
+from .data import DataFormatError, check_fields, read_lines
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -125,6 +124,7 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("dim", "n_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -193,8 +193,7 @@ class Encoder:
                 (p + "ffn.w2", (c.ffn_dim, c.dim), "normal"), (p + "ffn.b2", (c.dim,), "zeros"),
                 (p + "ln2.gain", (c.dim,), "ones"), (p + "ln2.bias", (c.dim,), "zeros"),
             ]
-        # sizes as Python ints: a float size fails here, as NumPy would fail to draw it
-        return [(name, tuple(map(operator.index, shape)), init) for name, shape, init in table]
+        return table
 
     def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
         if train and self.config.dropout > 0.0:

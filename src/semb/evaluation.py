@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_fields
 from .tensor import _softmax_rows
 
 __all__ = [
@@ -233,6 +234,7 @@ class EvalConfig:
     probe_l2: float = 1e-3
 
     def __post_init__(self):
+        check_fields(self)
         if self.similarity not in SIMILARITY_METRICS:
             raise ValueError(f"similarity must be one of {', '.join(SIMILARITY_METRICS)}; got {self.similarity!r}")
         if self.triplet_metric not in TRIPLET_METRICS:

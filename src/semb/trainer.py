@@ -82,6 +82,7 @@ class TrainConfig:
     smart_batching: bool = True
 
     def __post_init__(self):
+        data.check_fields(self)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {', '.join(OBJECTIVES)}; got {self.objective!r}")
         if self.lr <= 0:

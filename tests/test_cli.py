@@ -4,7 +4,9 @@ import json
 import filecmp
 import os
 import struct
+import time
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from semb.binio import FormatError
 from semb.checkpoint import load_checkpoint, save_checkpoint
 from semb.cli import main
 from semb.embedder import SentenceEmbedder
+from semb.encoder import EncoderConfig
 from semb.search import VectorStore
 
 TINY = [
@@ -247,17 +250,17 @@ def _checkpoint_with_config(trained_run, path, **change):
 
 @pytest.mark.parametrize("command", ["load", "embed", "inspect"])
 @pytest.mark.parametrize(
-    "field, value, kind",
-    [("n_heads", 2.0, "int"), ("n_layers", True, "int"), ("dim", "16", "int"), ("dropout", False, "float"),
-     ("dropout", "0.1", "float")],
+    "field, value, rule",
+    [("n_heads", 2.0, "an integer"), ("n_layers", True, "an integer"), ("dim", "16", "an integer"),
+     ("dropout", False, "a finite number"), ("dropout", "0.1", "a finite number")],
     ids=["float-n_heads", "bool-n_layers", "string-dim", "bool-dropout", "string-dropout"],
 )
 def test_a_manifest_config_value_of_the_wrong_type_exits_3_naming_the_field_once(
-    workspace, trained_run, capsys, tmp_path, command, field, value, kind
+    workspace, trained_run, capsys, tmp_path, command, field, value, rule
 ):
     # each value equals the trained one (2.0 == 2, True == 1), so only its type is wrong
     bad = _checkpoint_with_config(trained_run, tmp_path / "typed.semb", **{field: value})
-    said = f"{bad}: manifest config {field} must be of type {kind}, got {value!r}"
+    said = f"{bad}: manifest config rejected: {field} must be {rule}"
     if command == "load":
         with pytest.raises(FormatError) as refused:
             SentenceEmbedder.load(bad)
@@ -645,10 +648,28 @@ def test_inspect_lists_no_parameters_for_a_checkpoint_without_any(capsys, tmp_pa
     save_checkpoint(path, {"vocab_size": 4}, "mean", False, [], params={})
     with pytest.raises(FormatError) as refused:
         SentenceEmbedder.load(path)
-    assert str(refused.value).startswith(f"{path}: parameter set mismatch (missing ['emb_ln.bias', 'emb_ln.gain', ")
+    assert str(refused.value) == f"{path}: manifest config claims 2 layers but the file holds 0 parameters"
     code, out, err = run_cli(capsys, ["inspect", str(path), "--quiet"])
     assert (code, err) == (3, "")
     assert json.loads(out)["error"]["message"] == str(refused.value)
+
+
+@pytest.mark.parametrize("command", ["load", "inspect"])
+def test_a_small_checkpoint_claiming_many_layers_is_refused_quickly_in_few_words(trained_run, capsys, tmp_path,
+                                                                                 command):
+    # a layout of 10,000 layers is 160,000 names, and a mismatch message listing them ran to megabytes
+    bad = _checkpoint_with_config(trained_run, tmp_path / "deep.semb", n_layers=10_000)
+    said = f"{bad}: manifest config claims 10000 layers but the file holds 20 parameters"
+    if command == "load":
+        with pytest.raises(FormatError) as refused:
+            SentenceEmbedder.load(bad)
+        message = str(refused.value)
+    else:
+        code, out, err = run_cli(capsys, ["inspect", str(bad)])
+        assert code == 3
+        message = strict_json(out)["error"]["message"]
+        assert err == f"error: {message}\n"
+    assert message == said and len(message) < 1024
 
 
 def _bogus_pooling(manifest, params):
@@ -824,6 +845,21 @@ def test_dotted_override_lands_in_effective_config(workspace, capsys):
     assert effective["train"]["lr"] == 1e-3
     assert effective["train"]["warmup_frac"] == 0.2
     assert effective["encoder"]["dim"] == 16
+
+
+def test_an_integer_for_a_float_field_is_written_as_a_float(workspace, capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys,
+        ["train", "--data.train", str(workspace / "train.jsonl"), "--train.lr", "1", "--encoder.dropout", "0",
+         "--train.score_max", "5", "--runs-root", str(tmp_path), "--quiet"] + TINY,
+    )
+    assert code == 0
+    effective = strict_json((tmp_path / "train" / "effective-config.json").read_text())
+    manifest, _ = load_checkpoint(tmp_path / "train" / "checkpoint.semb")
+    written = [effective["train"]["lr"], effective["encoder"]["dropout"], effective["train"]["score_max"],
+               manifest["config"]["dropout"], manifest["objective"]["score_max"]]
+    assert [(type(value), value) for value in written] == [(float, 1.0), (float, 0.0), (float, 5.0),
+                                                           (float, 0.0), (float, 5.0)]
 
 
 def test_config_file_merges_under_overrides(workspace, capsys, tmp_path):
@@ -1230,3 +1266,61 @@ def test_a_bit_flip_anywhere_in_a_checkpoint_exits_3_or_loads(tiny_artifacts, po
     root, blobs = tiny_artifacts
     blob = blobs["semb"]
     assert exit_code_on(root, "semb", flip(blob, int(position * 8 * len(blob)))) in (0, 3)
+
+
+# each replacement of one manifest value, as a strategy given the value it replaces
+_REPLACEMENTS = {
+    "same-value-float": lambda original: st.just(1.0 if isinstance(original, str) else float(original)),
+    "true": lambda _: st.just(True),
+    "string": lambda _: st.text(max_size=8),
+    "null": lambda _: st.none(),
+    "negative": lambda _: st.integers(max_value=-1) | st.floats(max_value=-1e-9, allow_infinity=False),
+    "zero": lambda _: st.just(0),
+    "2**62": lambda _: st.just(2**62),
+    "2**63": lambda _: st.just(2**63),
+}
+
+
+def _refusal(argv):
+    """A command's error message, or None when it exits 0; any other exit than 0 or 3 fails."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--quiet"])
+    assert code in (0, 3), out.getvalue()
+    return strict_json(out.getvalue())["error"]["message"] if code else None
+
+
+@pytest.mark.parametrize("replacement", _REPLACEMENTS)
+@pytest.mark.parametrize("key", [f.name for f in fields(EncoderConfig)] + ["pooling"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_manifest_with_one_value_replaced_loads_and_embeds_or_exits_3_naming_the_file_once(
+    tiny_artifacts, key, replacement, data
+):
+    root, _ = tiny_artifacts
+    manifest, params = load_checkpoint(root / "runs" / "tiny" / "checkpoint.semb")
+    config, pooling = dict(manifest["config"]), manifest["pooling"]
+    value = data.draw(_REPLACEMENTS[replacement](pooling if key == "pooling" else config[key]), label="value")
+    if key == "pooling":
+        pooling = value
+    else:
+        config[key] = value
+    path = root / "replaced.semb"
+    save_checkpoint(path, config, pooling, manifest["include_special"], manifest["vocab"], params)
+
+    def load_and_embed():
+        try:
+            SentenceEmbedder.load(path).embed(["a b"])
+        except FormatError as exc:
+            return str(exc)
+
+    common = ["--data.checkpoint", str(path), "--data.corpus", str(root / "corpus.txt"),
+              "--runs-root", str(root / "runs"), "--name", "replaced"]
+    runs = [load_and_embed, lambda: _refusal(["embed"] + common), lambda: _refusal(["inspect", str(path)])]
+    outcomes = []
+    for run in runs:
+        started = time.perf_counter()
+        outcomes.append(run())
+        assert time.perf_counter() - started < 1.0
+    assert outcomes[1:] == outcomes[:1] * 2  # embed and inspect accept or refuse as load does
+    assert outcomes[0] is None or outcomes[0].count(str(path)) == 1

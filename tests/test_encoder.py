@@ -123,12 +123,20 @@ def tiny_config(**overrides):
 @pytest.mark.parametrize(
     "field, value",
     [("dim", 0), ("dim", -4), ("n_heads", 0), ("n_heads", 3), ("ffn_dim", 0),
-     ("n_layers", -1), ("max_seq_len", 1), ("dropout", 1.0), ("vocab_size", 3)],
+     ("n_layers", -1), ("max_seq_len", 1), ("dropout", 1.0), ("vocab_size", 3),
+     # a value of the wrong type, whatever it compares equal to
+     ("n_heads", 2.0), ("n_layers", True), ("dim", "16"), ("dropout", False), ("dim", 2**63),
+     ("vocab_size", None), ("dropout", float("nan"))],
 )
 def test_encoder_config_error_starts_with_the_field(field, value):
     # the CLI prefixes "encoder." to these messages to name the dotted field
     with pytest.raises(ValueError, match=f"^{field} "):
         tiny_config(**{field: value})
+
+
+def test_encoder_config_keeps_an_integer_dropout_as_a_float():
+    config = tiny_config(dropout=0)
+    assert type(config.dropout) is float and config.to_dict()["dropout"] == 0.0
 
 
 def make_batch(lengths, pad_to, rng, vocab_size=16):

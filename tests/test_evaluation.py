@@ -6,6 +6,7 @@ from semb.data import ScoredPair, TripletExample
 from semb.evaluation import (
     ConstantInputError,
     DegenerateEvalError,
+    EvalConfig,
     evaluate_similarity,
     fractional_ranks,
     pair_scores,
@@ -302,3 +303,20 @@ def test_probe_deterministic_under_seed():
     a = probe_accuracy(features, labels, k=5, seed=2)
     b = probe_accuracy(features, labels, k=5, seed=2)
     assert a == b
+
+
+# --- config ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, said",
+    [("folds", 2.5, "must be an integer"), ("probe_epochs", True, "must be an integer"),
+     ("seed", "0", "must be an integer"), ("seed", 2**63, f"must be at most {2**63 - 1}, got {2**63}"),
+     ("probe_lr", float("inf"), "must be a finite number"), ("probe_l2", None, "must be a finite number"),
+     ("similarity", 1, "must be a string"), ("folds", 1, "must be at least 2, got 1")],
+)
+def test_eval_config_error_starts_with_the_field(field, value, said):
+    # the CLI prefixes "eval." to the message to name the dotted field
+    with pytest.raises(ValueError) as refused:
+        EvalConfig(**{field: value})
+    assert str(refused.value) == f"{field} {said}"

@@ -7,6 +7,9 @@ so a loader that reads differently must still refuse each damaged file
 in the same words. Rewrite it only for a change meant to alter a message:
 
     PYTHONPATH=src python3 tests/test_load_errors.py
+
+which first prints every case whose refusal changes, grouped by old and
+new refusal, with counts.
 """
 
 import hashlib
@@ -78,15 +81,37 @@ def table(tmp_path) -> dict:
     return out
 
 
+ABSENT = ["absent", ""]  # the refusal of a case one table lacks
+
+
+def changes(old: dict, new: dict) -> dict:
+    """(suffix, old refusal, new refusal) -> the names of the cases whose refusal differs between two tables."""
+    groups = {}
+    for suffix in SUFFIXES:
+        before, after = (t.get(suffix, {}).get("cases", {}) for t in (old, new))
+        for name in {**after, **before}:
+            was, now = before.get(name, ABSENT), after.get(name, ABSENT)
+            if was != now:
+                groups.setdefault((suffix, tuple(was), tuple(now)), []).append(name)
+    return groups
+
+
+def describe(groups: dict) -> str:
+    """One paragraph per group: its count, old -> new refusal, then the case names."""
+    return "\n".join(
+        f"{suffix}, {len(names)} case(s): {' '.join(was)} -> {' '.join(now)}\n    {', '.join(names)}"
+        for (suffix, was, now), names in groups.items()
+    )
+
+
 def test_every_damaged_file_is_refused_as_the_golden_table_says(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = table(tmp_path)
     for suffix in SUFFIXES:
         assert got[suffix]["sha256"] == golden[suffix]["sha256"], f"the small {suffix} file changed"
-        assert list(got[suffix]["cases"]) == list(golden[suffix]["cases"])
-        wrong = {name: (got[suffix]["cases"][name], want) for name, want in golden[suffix]["cases"].items()
-                 if got[suffix]["cases"][name] != want}
-        assert wrong == {}, f"{len(wrong)} {suffix} cases differ (got, golden): {dict(list(wrong.items())[:5])}"
+    differ = changes(golden, got)
+    assert differ == {}, "refusals differ from the golden table:\n" + describe(differ)
+    assert all(list(got[suffix]["cases"]) == list(golden[suffix]["cases"]) for suffix in SUFFIXES)
     assert all(kind != "ok" for suffix in SUFFIXES for kind, _ in golden[suffix]["cases"].values())
 
 
@@ -105,6 +130,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         golden = table(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print(describe(changes(old, golden)) or "no refusal changed")
     lines = ["{"]
     for s, suffix in enumerate(SUFFIXES):
         lines.append(f'  "{suffix}": {{"sha256": "{golden[suffix]["sha256"]}", "cases": {{')

@@ -307,6 +307,25 @@ def test_train_config_rejects_bad_values():
             TrainConfig(**{field_name: value})
 
 
+@pytest.mark.parametrize(
+    "field_name, value, said",
+    [("lr", float("nan"), "must be a finite number"), ("lr", "0.1", "must be a finite number"),
+     ("lr", True, "must be a finite number"), ("margin", 10**400, "must be a finite number"),
+     ("epochs", 2.5, "must be an integer"), ("batch_size", 16.0, "must be an integer"),
+     ("seed", 2**64, f"must be at most {2**63 - 1}, got {2**64}"), ("smart_batching", "no", "must be a boolean"),
+     ("constant_after_warmup", 0, "must be a boolean"), ("objective", None, "must be a string")],
+)
+def test_train_config_refuses_a_value_of_the_wrong_type_naming_the_field(field_name, value, said):
+    with pytest.raises(ValueError) as refused:
+        TrainConfig(**{field_name: value})
+    assert str(refused.value) == f"{field_name} {said}"
+
+
+def test_train_config_keeps_an_integer_float_field_as_a_float():
+    cfg = TrainConfig(lr=1, margin=0)
+    assert (type(cfg.lr), type(cfg.margin)) == (float, float) and (cfg.lr, cfg.margin) == (1.0, 0.0)
+
+
 # --- the loop itself ----------------------------------------------------------
 
 
