@@ -142,7 +142,7 @@ def _load_config(args) -> dict:
 
 
 def _check_config(cfg: dict) -> None:
-    """Check every field of the merged config, whether or not the command uses it, and keep each as checked."""
+    """Check every field of the merged config, whether or not the command uses it, and store each value as checked."""
     for section, build in (("encoder", lambda: vars(_encoder_config(cfg, Vocab([]).size))),
                            ("encoder", lambda: {key: check_value(key, cfg["encoder"][key], kind)
                                                 for key, (kind, _) in _EMBEDDER_FIELDS.items()}),

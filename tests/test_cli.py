@@ -655,8 +655,7 @@ def test_inspect_lists_no_parameters_for_a_checkpoint_without_any(capsys, tmp_pa
 
 
 @pytest.mark.parametrize("command", ["load", "inspect"])
-def test_a_small_checkpoint_claiming_many_layers_is_refused_quickly_in_few_words(trained_run, capsys, tmp_path,
-                                                                                 command):
+def test_a_small_checkpoint_claiming_many_layers_is_refused_in_a_short_message(trained_run, capsys, tmp_path, command):
     # a layout of 10,000 layers is 160,000 names, and a mismatch message listing them ran to megabytes
     bad = _checkpoint_with_config(trained_run, tmp_path / "deep.semb", n_layers=10_000)
     said = f"{bad}: manifest config claims 10000 layers but the file holds 20 parameters"
