@@ -42,10 +42,10 @@ _INT_MAX = 2**63 - 1
 
 
 def check_value(name: str, value, kind: str):
-    """`value` as a config field annotated `kind` ("int", "float", "bool" or "str") keeps it: a float as a float.
+    """`value` checked as a config field annotated `kind` ("int", "float", "bool" or "str"); a float field's as a float.
 
-    A bool is not an int, an int is at most 2**63 - 1 and a float is finite; a refusal is a
-    ValueError starting with `name`.
+    A bool is not an int, an int is at most 2**63 - 1 and a float is finite. A refusal is a
+    ValueError whose message starts with `name`.
     """
     if kind == "float":
         # JSON's NaN and Infinity parse as floats, and an integer may be past float range
