@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -16,9 +17,14 @@ from .tensor import Tensor, no_grad
 
 __all__ = ["SentenceEmbedder"]
 
-# a call starts one helper thread per this many jobs (batches or scan
-# tiles), so short calls such as training-time scoring pay for no thread
+# a call starts one helper thread per this many batches of its plan (or
+# scan tiles), so short calls such as training-time scoring pay for no thread
 _BATCHES_PER_HELPER = 32
+
+# an inference forward's widest activation, (tokens, max(ffn_dim, 3 * dim)),
+# is kept near this size, so that it and the temporaries of the ops on it
+# stay in a core's L2 cache (BENCH_embed_slabs.json records the sweep)
+_SLAB_BYTES = 896 * 1024
 
 
 def _worker_count() -> int:
@@ -40,11 +46,12 @@ def _worker_count() -> int:
     return max(cores // blas, 1) if blas > 0 else 1
 
 
-def _run_jobs(jobs, work) -> None:
+def _run_jobs(jobs, work, count: int | None = None) -> None:
     """Call `work(job)` for each job, taken in order, on this thread and on helpers.
 
-    One helper per `_BATCHES_PER_HELPER` jobs, up to the idle cores; the
-    first error from any thread is re-raised once all have stopped.
+    One helper per `_BATCHES_PER_HELPER` of `count` (the number of jobs
+    unless given), up to the idle cores; the first error from any thread
+    is re-raised once all have stopped.
     """
     pending = iter(jobs)
     take = threading.Lock()
@@ -63,7 +70,7 @@ def _run_jobs(jobs, work) -> None:
 
     helpers = [
         threading.Thread(target=drain, name="semb-embed", daemon=True)
-        for _ in range(min(_worker_count() - 1, len(jobs) // _BATCHES_PER_HELPER))
+        for _ in range(min(_worker_count() - 1, (len(jobs) if count is None else count) // _BATCHES_PER_HELPER))
     ]
     for thread in helpers:
         thread.start()
@@ -72,6 +79,27 @@ def _run_jobs(jobs, work) -> None:
         thread.join()
     if errors:
         raise errors[0]
+
+
+def _slabs(rows, batches, budget: int) -> list[tuple[int, list[int]]]:
+    """(width, text indices) per forward: the batches' rows grouped by their
+    batch's padded width, widest first, each group cut evenly into pieces of
+    at most `budget` tokens (one row at least)."""
+    groups = {}
+    for batch in batches:
+        groups.setdefault(max(len(rows[i]) for i in batch), []).extend(batch)
+    slabs = []
+    for width, members in sorted(groups.items(), reverse=True):
+        n = len(members)
+        pieces = -(-n // max(budget // width, 1))
+        slabs += [(width, members[k * n // pieces : (k + 1) * n // pieces]) for k in range(pieces)]
+    return slabs
+
+
+def _first_names(names) -> str:
+    """The sorted names as a list or, past five of them, their count and the first five."""
+    names = sorted(names)
+    return str(names) if len(names) <= 5 else f"{len(names)} names, the first 5 {names[:5]}"
 
 
 def _check_parts(vocab: Vocab, config: EncoderConfig, pooling: str) -> None:
@@ -105,14 +133,13 @@ class SentenceEmbedder:
         max_len = self.encoder.config.max_seq_len
         return [self.vocab.encode(text, max_len) for text in texts]
 
-    def pad(self, rows):
-        """Pad id rows to the longest member; returns (ids, mask, pool_mask)."""
-        width = max(len(row) for row in rows)
-        ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(rows), width), dtype=self.encoder.dtype)
-        for r, row in enumerate(rows):
-            ids[r, : len(row)] = row
-            mask[r, : len(row)] = 1.0
+    def pad(self, rows, width: int | None = None):
+        """Pad id rows to `width` (the longest member by default); returns (ids, mask, pool_mask)."""
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        real = np.arange(lengths.max() if width is None else width) < lengths[:, None]
+        ids = np.full(real.shape, PAD_ID, dtype=np.int64)
+        ids[real] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+        mask = real.astype(self.encoder.dtype)
         if self.include_special:
             pool_mask = mask
         else:
@@ -142,15 +169,21 @@ class SentenceEmbedder:
 
         Each text is tokenized once. With `smart`, texts of similar length
         share a batch, so each batch pads little; otherwise batches are
-        fixed-order chunks. Either way row i is the vector of text i. The
-        forward passes run under `no_grad`, so they build no graph and
-        keep no gradient memory; each batch's rows have the bits
-        `embed_tensor` gives for that batch.
+        fixed-order chunks. Either way row i is the vector of text i.
+
+        The batch plan only sets each text's padded width, its batch's
+        longest row. The forward passes run over slabs: the rows of one
+        padded width, merged across batches and cut at a token budget
+        sized from the encoder's widths, so that each pass stays in cache
+        and short batches share one pass. Every encoder op works per
+        token or per sequence, so each row keeps the bits `embed_tensor`
+        gives it in its batch. The passes run under `no_grad`: they build
+        no graph and keep no gradient memory.
 
         When the environment pins BLAS to fewer threads than there are
         usable cores (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`), a
-        call of at least 32 batches also runs batches on helper threads,
-        one per 32 batches up to the idle cores. Each batch is computed
+        call of at least 32 batches also runs slabs on helper threads,
+        one per 32 batches up to the idle cores. Each slab is computed
         as it is serially, so rows keep their bits.
         """
         rows = self.token_ids(texts)
@@ -163,12 +196,15 @@ class SentenceEmbedder:
             batches = trainer.naive_batches(len(rows), batch_size)
         out = np.empty((len(rows), self.dim), dtype=np.float32)
 
-        def run(batch):
+        def run(slab):
+            width, members = slab
             # grad mode is per thread, so every thread turns it off itself
             with no_grad():
-                out[batch] = self.forward(*self.pad([rows[i] for i in batch])).data
+                out[members] = self.forward(*self.pad([rows[i] for i in members], width)).data
 
-        _run_jobs(batches, run)
+        c = self.encoder.config
+        budget = _SLAB_BYTES // (max(c.ffn_dim, 3 * c.dim) * self.encoder.dtype.itemsize)
+        _run_jobs(_slabs(rows, batches, budget), run, len(batches))
         return out
 
     def save(self, path, objective: dict | None = None, steps: int = 0) -> None:
@@ -208,9 +244,8 @@ class SentenceEmbedder:
         expected = {name for name, _, _ in layout}
         loaded = set(params)
         if expected != loaded:
-            missing = sorted(expected - loaded)
-            extra = sorted(loaded - expected)
-            raise FormatError(f"{path}: parameter set mismatch (missing {missing}, unexpected {extra})")
+            raise FormatError(f"{path}: parameter set mismatch (missing {_first_names(expected - loaded)},"
+                              f" unexpected {_first_names(loaded - expected)})")
         for name, shape, _ in layout:
             if params[name].shape != shape:
                 raise FormatError(f"{path}: parameter {name} has shape {params[name].shape}, expected {shape}")

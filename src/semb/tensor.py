@@ -553,13 +553,29 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 # nonlinear ops
 
 
+def _row_max(x):
+    """`np.max(x, axis=-1, keepdims=True)`, taken over a key-major copy.
+
+    NumPy reduces a short last axis one row at a time, several times
+    slower than it reduces the rows of a contiguous copy elementwise
+    (115 against 12 microseconds on (1536, 12) float32). The values
+    are the same, NaN included, except that a zero maximum may carry the
+    other sign. Under 2,048 values, as in a one-text query's attention,
+    the copy costs more than it saves, so those are reduced in place.
+    """
+    if x.ndim < 2 or x.size < 2048:
+        return np.max(x, axis=-1, keepdims=True)
+    return np.max(np.swapaxes(x, -1, -2).copy(), axis=-2)[..., None]
+
+
 def _softmax_rows(x, out=None):
     """Softmax over the last axis of array `x`, into `out` (which may be `x`) or a new array.
 
-    Max-subtracted for stability; exponentials are taken in the storage
+    Max-subtracted for stability (the sign of a zero maximum changes no
+    difference's exponential); exponentials are taken in the storage
     dtype, and each row's normalizer is summed in float64.
     """
-    y = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    y = np.subtract(x, _row_max(x), out=out)
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
     return y

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semb.embedder
 from semb import trainer
 from semb.binio import ChecksumError, FormatError, TruncatedError, VersionError
 from semb.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from semb.embedder import SentenceEmbedder
 from semb.encoder import Encoder, EncoderConfig, Vocab
+from semb.pooling import POOLING_MODES
 from semb.tensor import Tensor
 
 
@@ -281,11 +283,19 @@ def test_embed_batches_agree_with_single_batch(texts, batch_size):
     np.testing.assert_allclose(smart, fixed, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
 
 
+# at 1 byte every slab is one row; at 2**40 one slab takes every row of a padded width
+@pytest.mark.parametrize("slab_bytes", [1, 2**40])
 @settings(max_examples=25, deadline=None)
-@given(texts=skewed_texts, batch_size=st.integers(1, 14), smart=st.booleans())
-def test_embed_rows_are_the_bits_of_embed_tensor_on_each_batch(texts, batch_size, smart):
-    emb = small_embedder(seed=5)
+@given(texts=skewed_texts, batch_size=st.integers(1, 14), smart=st.booleans(),
+       pooling=st.sampled_from(POOLING_MODES), include_special=st.booleans())
+def test_embed_rows_are_the_bits_of_embed_tensor_on_each_batch(
+    texts, batch_size, smart, pooling, include_special, slab_bytes
+):
+    emb = small_embedder(seed=5, pooling=pooling)
+    emb.include_special = include_special
     batches = []
+    forwards = []
+    original = emb.forward
 
     def recording(plan):
         def wrapper(*args):
@@ -295,10 +305,22 @@ def test_embed_rows_are_the_bits_of_embed_tensor_on_each_batch(texts, batch_size
 
         return wrapper
 
+    def forward(*args):
+        forwards.append(args[0].shape)
+        return original(*args)
+
     with mock.patch.object(trainer, "smart_batches", recording(trainer.smart_batches)), \
-            mock.patch.object(trainer, "naive_batches", recording(trainer.naive_batches)):
+            mock.patch.object(trainer, "naive_batches", recording(trainer.naive_batches)), \
+            mock.patch.object(semb.embedder, "_SLAB_BYTES", slab_bytes), \
+            mock.patch.object(emb, "forward", forward):
         out = emb.embed(texts, batch_size=batch_size, smart=smart)
     assert sorted(i for batch in batches for i in batch) == list(range(len(texts)))
+    widths = [len(emb.encode_batch([texts[i] for i in batch])[0][0]) for batch in batches]
+    assert len(forwards) == (len(texts) if slab_bytes == 1 else len(set(widths)))
+    # every row is padded to its batch's width, however the slabs were cut
+    assert sorted(width for rows, width in forwards for _ in range(rows)) == sorted(
+        width for batch, width in zip(batches, widths) for _ in batch
+    )
     for batch in batches:
         want = emb.embed_tensor([texts[i] for i in batch]).data
         assert out[batch].tobytes() == want.tobytes()

@@ -19,7 +19,7 @@ from semb.binio import FormatError
 from semb.checkpoint import load_checkpoint, save_checkpoint
 from semb.cli import main
 from semb.embedder import SentenceEmbedder
-from semb.encoder import EncoderConfig
+from semb.encoder import Encoder, EncoderConfig
 from semb.search import VectorStore
 
 TINY = [
@@ -669,6 +669,26 @@ def test_a_small_checkpoint_claiming_many_layers_is_refused_in_a_short_message(t
         message = strict_json(out)["error"]["message"]
         assert err == f"error: {message}\n"
     assert message == said and len(message) < 1024
+
+
+@pytest.mark.parametrize("command", ["load", "inspect"])
+def test_a_mismatch_of_many_names_is_refused_with_counts_and_the_first_five(trained_run, capsys, tmp_path, command):
+    # the 20 parameters of one layer pass the layer-count guard, but 20 layers want 324 names
+    bad = _checkpoint_with_config(trained_run, tmp_path / "deep.semb", n_layers=20)
+    if command == "load":
+        with pytest.raises(FormatError) as refused:
+            SentenceEmbedder.load(bad)
+        message = str(refused.value)
+    else:
+        code, out, err = run_cli(capsys, ["inspect", str(bad)])
+        assert code == 3
+        message = strict_json(out)["error"]["message"]
+        assert err == f"error: {message}\n"
+    manifest, params = load_checkpoint(bad)
+    missing = sorted({name for name, _, _ in Encoder.layout(EncoderConfig(**manifest["config"]))} - set(params))
+    assert message == (f"{bad}: parameter set mismatch (missing {len(missing)} names, the first 5 {missing[:5]},"
+                       " unexpected [])")
+    assert len(message) - len(str(bad)) < 500
 
 
 def _bogus_pooling(manifest, params):

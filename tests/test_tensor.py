@@ -53,6 +53,30 @@ def test_softmax_stable_at_large_magnitude():
     np.testing.assert_allclose(y.data, [[0.5, 0.5]], atol=1e-6)
 
 
+def _old_softmax_rows(x):
+    y = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+    return y
+
+
+@pytest.mark.parametrize("shape", [(4,), (6, 1), (6, 4), (2, 3, 6, 4), (64, 9, 4), (3, 700, 1)])
+def test_row_max_is_numpys_last_axis_max_and_softmax_keeps_its_bits(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape).astype(np.float32)
+    rows = x.reshape(-1, shape[-1])
+    rows[::2, -1] = -1e9  # masked keys, as attention fills them
+    rows[0] = [-0.0, 0.0, -1e9, -2.0][: shape[-1]]  # a zero maximum of both signs
+    rows[1:2] = [0.0, -0.0, -1e9, -1e9][: shape[-1]]  # slices, so a lone row skips these
+    rows[2:3, 0] = np.nan
+    want = np.max(x, axis=-1, keepdims=True)
+    got = T._row_max(x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)  # NaN matches NaN, and +0 matches -0
+    with np.errstate(invalid="ignore"):
+        assert T._softmax_rows(x).tobytes() == _old_softmax_rows(x).tobytes()
+
+
 def test_abs_diff_known_value():
     a = T.tensor([1.0, -2.0])
     b = T.tensor([3.0, 1.0])
