@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import threading
-from itertools import chain
 
 import numpy as np
 
@@ -23,7 +22,8 @@ _BATCHES_PER_HELPER = 32
 
 # an inference forward's widest activation, (tokens, max(ffn_dim, 3 * dim)),
 # is kept near this size, so that it and the temporaries of the ops on it
-# stay in a core's L2 cache (BENCH_embed_slabs.json records the sweep)
+# stay in a core's L2 cache (BENCH_embed_slabs.json records the sweep, run
+# at the default dims only)
 _SLAB_BYTES = 896 * 1024
 
 
@@ -135,11 +135,13 @@ class SentenceEmbedder:
 
     def pad(self, rows, width: int | None = None):
         """Pad id rows to `width` (the longest member by default); returns (ids, mask, pool_mask)."""
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        real = np.arange(lengths.max() if width is None else width) < lengths[:, None]
-        ids = np.full(real.shape, PAD_ID, dtype=np.int64)
-        ids[real] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-        mask = real.astype(self.encoder.dtype)
+        if width is None:
+            width = max(len(row) for row in rows)
+        ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+        mask = np.zeros((len(rows), width), dtype=self.encoder.dtype)
+        for r, row in enumerate(rows):
+            ids[r, : len(row)] = row
+            mask[r, : len(row)] = 1.0
         if self.include_special:
             pool_mask = mask
         else:
@@ -174,11 +176,12 @@ class SentenceEmbedder:
         The batch plan only sets each text's padded width, its batch's
         longest row. The forward passes run over slabs: the rows of one
         padded width, merged across batches and cut at a token budget
-        sized from the encoder's widths, so that each pass stays in cache
-        and short batches share one pass. Every encoder op works per
-        token or per sequence, so each row keeps the bits `embed_tensor`
-        gives it in its batch. The passes run under `no_grad`: they build
-        no graph and keep no gradient memory.
+        sized from the encoder's widths (896 tokens at the default dims),
+        so that each pass stays in cache and short batches share one
+        pass. Every encoder op works per token or per sequence, so each
+        row keeps the bits `embed_tensor` gives it in its batch. The
+        passes run under `no_grad`: they build no graph and keep no
+        gradient memory.
 
         When the environment pins BLAS to fewer threads than there are
         usable cores (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`), a

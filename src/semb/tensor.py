@@ -554,18 +554,17 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def _row_max(x):
-    """`np.max(x, axis=-1, keepdims=True)`, taken over a key-major copy.
+    """`np.max(x, axis=-1, keepdims=True)`, taken over a key-major copy of the rows.
 
     NumPy reduces a short last axis one row at a time, several times
     slower than it reduces the rows of a contiguous copy elementwise
-    (115 against 12 microseconds on (1536, 12) float32). The values
-    are the same, NaN included, except that a zero maximum may carry the
-    other sign. Under 2,048 values, as in a one-text query's attention,
-    the copy costs more than it saves, so those are reduced in place.
+    (117 against 13 microseconds on (1536, 12) float32, and 3.7 against
+    3.5 on a one-text query's (1, 4, 5, 5), on one Xeon core). The
+    values are the same, NaN included, except that a zero maximum may
+    carry the other sign.
     """
-    if x.ndim < 2 or x.size < 2048:
-        return np.max(x, axis=-1, keepdims=True)
-    return np.max(np.swapaxes(x, -1, -2).copy(), axis=-2)[..., None]
+    rows = x.reshape(-1, x.shape[-1])
+    return np.max(rows.T.copy(), axis=0).reshape(*x.shape[:-1], 1)
 
 
 def _softmax_rows(x, out=None):

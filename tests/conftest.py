@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from semb.embedder import SentenceEmbedder
 from semb.encoder import Vocab
 
 
@@ -16,6 +17,20 @@ def encode_calls(monkeypatch):
         return original(self, text, max_len)
 
     monkeypatch.setattr(Vocab, "encode", counting)
+    return calls
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """(rows, width, real tokens) of each `SentenceEmbedder.forward` call while the test runs, in call order."""
+    calls = []
+    original = SentenceEmbedder.forward
+
+    def recording(self, ids, mask, *args, **kwargs):
+        calls.append((*ids.shape, int(mask.sum())))
+        return original(self, ids, mask, *args, **kwargs)
+
+    monkeypatch.setattr(SentenceEmbedder, "forward", recording)
     return calls
 
 

@@ -82,20 +82,7 @@ def test_threaded_rows_are_the_serial_bits(monkeypatch, workers, batch_size, sma
     assert embed_threads() == []
 
 
-def recorded_forwards(emb, monkeypatch):
-    """Wrap `emb.forward`; returns the list of the (rows, width) shapes it is called on."""
-    shapes = []
-    original = emb.forward
-
-    def forward(ids, *args, **kwargs):
-        shapes.append(ids.shape)
-        return original(ids, *args, **kwargs)
-
-    monkeypatch.setattr(emb, "forward", forward)
-    return shapes
-
-
-def test_many_helpers_with_frequent_switches_take_each_slab_once(monkeypatch):
+def test_many_helpers_with_frequent_switches_take_each_slab_once(monkeypatch, forward_calls):
     emb = small_embedder(seed=4)
     texts = corpus(300, seed=5)
     serial = emb.embed(texts, batch_size=1)
@@ -108,8 +95,8 @@ def test_many_helpers_with_frequent_switches_take_each_slab_once(monkeypatch):
 
     monkeypatch.setattr(semb.embedder, "_slabs", slabs)
     monkeypatch.setattr(semb.embedder, "_SLAB_BYTES", 1)  # one row per slab, so 300 jobs to share out
-    shapes = recorded_forwards(emb, monkeypatch)
     with_workers(monkeypatch, 8)  # 7 helpers on 300 batches, more threads than cores
+    forward_calls.clear()  # the serial call's
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -118,25 +105,21 @@ def test_many_helpers_with_frequent_switches_take_each_slab_once(monkeypatch):
         sys.setswitchinterval(interval)
     # a slab taken twice, or lost, would show here
     assert sorted(i for _, members in planned for i in members) == list(range(300))
-    assert len(shapes) == len(planned) == 300
-    assert sum(rows for rows, _ in shapes) == 300
+    assert len(forward_calls) == len(planned) == 300
+    assert sum(rows for rows, _, _ in forward_calls) == 300
     assert threaded.tobytes() == serial.tobytes()
     assert embed_threads() == []
 
 
-def test_a_one_text_embed_is_one_forward(monkeypatch):
-    emb = small_embedder()
-    shapes = recorded_forwards(emb, monkeypatch)
-    emb.embed(["red fish blue"])
-    assert shapes == [(1, 5)]
+def test_a_one_text_embed_is_one_forward(forward_calls):
+    small_embedder().embed(["red fish blue"])
+    assert forward_calls == [(1, 5, 5)]
 
 
-def test_smart_batches_of_one_width_share_a_forward(monkeypatch):
-    emb = small_embedder(seed=2)
+def test_smart_batches_of_one_width_share_a_forward(forward_calls):
     texts = ["red fish", "blue bird stone", "green stone"] * 8  # widths 4, 5, 4
-    shapes = recorded_forwards(emb, monkeypatch)
-    emb.embed(texts, batch_size=4)  # 6 batches: 4 of width 4, 2 of width 5
-    assert sorted(shapes) == [(8, 5), (16, 4)]
+    small_embedder(seed=2).embed(texts, batch_size=4)  # 6 batches: 4 of width 4, 2 of width 5
+    assert sorted(forward_calls) == [(8, 5, 40), (16, 4, 64)]
 
 
 def test_no_helper_under_32_batches_or_at_one_worker(monkeypatch):

@@ -977,27 +977,18 @@ def test_bench_reports_both_modes():
     assert smart["real_token_count"] == naive["real_token_count"]
 
 
-def test_bench_token_counts_are_the_cells_the_forwards_take(monkeypatch):
+def test_bench_token_counts_are_the_cells_the_forwards_take(forward_calls):
     # a forward takes every row of one batch width, each row padded to its own batch's width,
     # so the plan's padded count is still the grid the encoder runs over
     emb = small_embedder(seed=1)
     texts = ["red", "green blue fish bird stone river cloud red green blue"] * 10
-    cells, real = [], []
-    original = emb.forward
-
-    def forward(ids, mask, *args, **kwargs):
-        cells.append(ids.size)
-        real.append(int(mask.sum()))
-        return original(ids, mask, *args, **kwargs)
-
-    monkeypatch.setattr(emb, "forward", forward)
     for smart, forwards in ((True, 2), (False, 1)):  # in fixed order every batch holds a long text
-        cells.clear()
-        real.clear()
+        forward_calls.clear()
         report = bench_embedding(emb, texts, batch_size=4, smart=smart)
-        assert report["batches"] == 5 and len(cells) == forwards
-        assert report["padded_token_count"] == sum(cells) == (8 * 3 + 12 * 12 if smart else 20 * 12)
-        assert report["real_token_count"] == sum(real) == 10 * 3 + 10 * 12
+        assert report["batches"] == 5 and len(forward_calls) == forwards
+        cells = sum(rows * width for rows, width, _ in forward_calls)
+        assert report["padded_token_count"] == cells == (8 * 3 + 12 * 12 if smart else 20 * 12)
+        assert report["real_token_count"] == sum(real for _, _, real in forward_calls) == 10 * 3 + 10 * 12
 
 
 def test_bench_rejects_empty_corpus():

@@ -73,6 +73,7 @@ def test_row_max_is_numpys_last_axis_max_and_softmax_keeps_its_bits(shape):
     got = T._row_max(x)
     assert got.shape == want.shape and got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)  # NaN matches NaN, and +0 matches -0
+    np.testing.assert_array_equal(T._row_max(x.T), np.max(x.T, axis=-1, keepdims=True))  # a strided view
     with np.errstate(invalid="ignore"):
         assert T._softmax_rows(x).tobytes() == _old_softmax_rows(x).tobytes()
 
