@@ -17,7 +17,8 @@ and quartiles (linear-interpolated percentiles 25 and 75), the pairs
 each side won, whether the change's median is within the metric's bound
 and whether the medians differ by more than the parent's quartile
 distance. `--detail NAME` also summarizes a value from the harness's
-details, ungated. An existing `--out` file keeps the workloads this run
+details, ungated, in the direction its unit gives it (`DETAIL_BETTER`),
+for each workload whose report has it. An existing `--out` file keeps the workloads this run
 does not touch, so workloads can be run with different seeds in turn.
 """
 
@@ -31,6 +32,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# which way each unit the harness gives a detail in is better
+DETAIL_BETTER = {"1/s": "higher", "rho": "higher", "fraction": "higher", "s": "lower", "ms": "lower"}
 
 
 def _seeds(text: str) -> list[int]:
@@ -83,6 +86,12 @@ def compare(parent: list[float], change: list[float], better: str, bound: float 
     return out
 
 
+def detail_better(unit: str) -> str:
+    if unit not in DETAIL_BETTER:
+        raise ValueError(f"a detail in unit {unit!r} has no known direction; known units: {', '.join(DETAIL_BETTER)}")
+    return DETAIL_BETTER[unit]
+
+
 def workload_section(runs: list[dict], spec: dict, details: list[str]) -> dict:
     pairs = sorted({r["pair"] for r in runs})
     side = {s: [next(r for r in runs if r["pair"] == k and r["side"] == s) for k in pairs] for s in SIDES}
@@ -92,8 +101,13 @@ def workload_section(runs: list[dict], spec: dict, details: list[str]) -> dict:
         metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                               **compare(*values, m["better"], m["bound"])}
     for name in details:
-        values = [[r["details"][name] for r in side[s]] for s in SIDES]
-        metrics[name] = {"better": "lower", "kind": "detail, not gated", **compare(*values, "lower", None)}
+        if not all(name in r["details"] for r in runs):
+            continue  # this workload's report lacks it
+        unit = runs[0]["details"][name]["unit"]
+        better = detail_better(unit)
+        values = [[r["details"][name]["value"] for r in side[s]] for s in SIDES]
+        metrics[name] = {"unit": unit, "better": better, "kind": "detail, not gated",
+                         **compare(*values, better, None)}
     return {
         "pairs": len(pairs),
         "seeds": [r["seed"] for r in side["parent"]],
@@ -118,11 +132,14 @@ def main(argv=None) -> int:
             for s in order:
                 result, report = run_side(checkouts[s], workload, seed, args.seconds)
                 meta.setdefault(s, report["meta"])
+                details = {n: report["details"][n] for n in args.detail if n in report["details"]}
+                for detail in details.values():
+                    detail_better(detail["unit"])  # refuse an unknown unit before the next run
                 doc["runs"].append({
                     "pair": k, "seed": seed, "workload": workload, "side": s, "first": order[0],
                     "correct": result["correct"], "failed": result["failed"], "attempted": result["attempted"],
                     "metrics": {n: m["value"] for n, m in result["metrics"].items()},
-                    "details": {n: report["details"][n]["value"] for n in args.detail},
+                    "details": details,
                 })
                 print(f"pair {k} seed {seed} {workload} {s}: "
                       + " ".join(f"{n}={m['value']:.4g}" for n, m in result["metrics"].items()), file=sys.stderr)

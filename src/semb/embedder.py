@@ -16,9 +16,10 @@ from .tensor import Tensor, no_grad
 
 __all__ = ["SentenceEmbedder"]
 
-# a call starts one helper thread per this many batches of its plan (or
-# scan tiles), so short calls such as training-time scoring pay for no thread
-_BATCHES_PER_HELPER = 32
+# an embed starts one helper thread per this many slabs, up to the idle
+# cores: from two slabs up a helper was never slower than serial
+# (BENCH_eval_threads.json), and a one-slab call, such as a query, starts none
+_SLABS_PER_HELPER = 2
 
 # an inference forward's widest activation, (tokens, max(ffn_dim, 3 * dim)),
 # is kept near this size, so that it and the temporaries of the ops on it
@@ -46,12 +47,13 @@ def _worker_count() -> int:
     return max(cores // blas, 1) if blas > 0 else 1
 
 
-def _run_jobs(jobs, work, count: int | None = None) -> None:
+def _run_jobs(jobs, work, per_helper: int) -> None:
     """Call `work(job)` for each job, taken in order, on this thread and on helpers.
 
-    One helper per `_BATCHES_PER_HELPER` of `count` (the number of jobs
-    unless given), up to the idle cores; the first error from any thread
-    is re-raised once all have stopped.
+    One helper per `per_helper` jobs, up to the idle cores
+    (`_worker_count() - 1`); the caller sizes `per_helper` to what a job
+    costs. The first error from any thread is re-raised once all have
+    stopped.
     """
     pending = iter(jobs)
     take = threading.Lock()
@@ -70,7 +72,7 @@ def _run_jobs(jobs, work, count: int | None = None) -> None:
 
     helpers = [
         threading.Thread(target=drain, name="semb-embed", daemon=True)
-        for _ in range(min(_worker_count() - 1, (len(jobs) if count is None else count) // _BATCHES_PER_HELPER))
+        for _ in range(min(_worker_count() - 1, len(jobs) // per_helper))
     ]
     for thread in helpers:
         thread.start()
@@ -185,9 +187,10 @@ class SentenceEmbedder:
 
         When the environment pins BLAS to fewer threads than there are
         usable cores (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`), a
-        call of at least 32 batches also runs slabs on helper threads,
-        one per 32 batches up to the idle cores. Each slab is computed
-        as it is serially, so rows keep their bits.
+        call of two or more slabs also runs slabs on helper threads, one
+        per two slabs up to the idle cores; a one-slab call, such as a
+        one-text query, runs on the calling thread alone. Each slab is
+        computed as it is serially, so rows keep their bits.
         """
         rows = self.token_ids(texts)
         # one batch pads to its longest row however it is planned, and a
@@ -207,7 +210,7 @@ class SentenceEmbedder:
 
         c = self.encoder.config
         budget = _SLAB_BYTES // (max(c.ffn_dim, 3 * c.dim) * self.encoder.dtype.itemsize)
-        _run_jobs(_slabs(rows, batches, budget), run, len(batches))
+        _run_jobs(_slabs(rows, batches, budget), run, _SLABS_PER_HELPER)
         return out
 
     def save(self, path, objective: dict | None = None, steps: int = 0) -> None:

@@ -99,13 +99,15 @@ def evaluate_similarity(embed, pairs, metric: str = "cosine") -> dict:
     """Spearman/Pearson of predicted similarity against gold scores.
 
     `embed` maps a list of texts to an array of vectors; `pairs` are
-    ScoredPair records.
+    ScoredPair records. It is called once, on every `a` and then every
+    `b`, so a batching embedder sees the whole set at once (for
+    `SentenceEmbedder.embed`, more slabs to share out among helper
+    threads); the rows are split after.
     """
     pairs = list(pairs)
     if len(pairs) < 2:
         raise DegenerateEvalError(f"similarity evaluation needs at least 2 pairs, got {len(pairs)}")
-    u = np.asarray(embed([p.a for p in pairs]))
-    v = np.asarray(embed([p.b for p in pairs]))
+    u, v = np.split(np.asarray(embed([p.a for p in pairs] + [p.b for p in pairs])), 2)
     predicted = pair_scores(u, v, metric)
     gold = np.array([p.score for p in pairs], dtype=np.float64)
     return {
@@ -123,16 +125,17 @@ def triplet_accuracy(embed, triplets, metric: str = "euclidean") -> float:
     """Fraction of triplets whose anchor sits strictly closer to the positive.
 
     Ties count as failures. `metric` is euclidean or cosine_distance
-    (1 - cosine, so smaller still means more similar).
+    (1 - cosine, so smaller still means more similar). `embed` is called
+    once, on the anchors, positives and negatives in that order, and the
+    rows are split after, as in `evaluate_similarity`.
     """
     if metric not in TRIPLET_METRICS:
         raise ValueError(f"unknown triplet metric {metric!r}; expected one of {TRIPLET_METRICS}")
     triplets = list(triplets)
     if not triplets:
         raise DegenerateEvalError("triplet evaluation needs at least 1 triplet")
-    a = np.asarray(embed([t.anchor for t in triplets]), dtype=np.float64)
-    p = np.asarray(embed([t.positive for t in triplets]), dtype=np.float64)
-    n = np.asarray(embed([t.negative for t in triplets]), dtype=np.float64)
+    texts = [t.anchor for t in triplets] + [t.positive for t in triplets] + [t.negative for t in triplets]
+    a, p, n = np.split(np.asarray(embed(texts), dtype=np.float64), 3)
     if metric == "euclidean":
         wins = np.linalg.norm(a - p, axis=1) < np.linalg.norm(a - n, axis=1)
     else:

@@ -12,7 +12,8 @@ unit row zero and its score -inf. A loaded store indexes its ids when
 float32, then re-scores in float64 only rows that could reach the top k,
 so it returns what a float64 sort of every row would.
 `most_similar_pair` scores the upper triangle in float32 tiles of the
-unit rows, on helper threads by `embed`'s rule, then re-scores in
+unit rows, on a helper thread per 32 tiles when BLAS leaves cores
+idle (as `embed` does, see `embedder._worker_count`), then re-scores in
 float64 only pairs near the best so far, one pair at a time, so it gives
 a float64 scan's answer and equal rows tie exactly.
 
@@ -56,6 +57,8 @@ STORE_VERSION = 1
 
 # rows, and columns, of one GEMM tile in the all-pairs scan
 _BLOCK_ROWS = 512
+# the scan starts one helper thread per this many tiles, up to the idle cores
+_TILES_PER_HELPER = 32
 # rows normalized at a time, so the float64 scratch stays a few MB however large the store
 _NORM_ROWS = 4096
 
@@ -322,7 +325,8 @@ def most_similar_pair(store: VectorStore) -> MostSimilarResult:
 
     # square tiles of rows i against rows j >= i, so a tile's scores take
     # the same memory whatever n is
-    _run_jobs([(r0, c0) for r0 in range(0, n, _BLOCK_ROWS) for c0 in range(r0, n, _BLOCK_ROWS)], scan)
+    _run_jobs([(r0, c0) for r0 in range(0, n, _BLOCK_ROWS) for c0 in range(r0, n, _BLOCK_ROWS)], scan,
+              _TILES_PER_HELPER)
     i, j = best[1]
     return MostSimilarResult(id_a=store._ids[i], id_b=store._ids[j], score=best[0], comparisons=n * (n - 1) // 2)
 

@@ -68,11 +68,14 @@ def both_threads_forward(emb, monkeypatch, on_forward=None):
     return seen
 
 
-@pytest.mark.parametrize("workers, batch_size", [(2, 1), (3, 2), (8, 4)])
+# the last case is an evaluation's size: 200 texts at the default batch size
+@pytest.mark.parametrize("workers, n, batch_size", [(2, 150, 1), (3, 150, 2), (8, 150, 4), (2, 200, 32)])
 @pytest.mark.parametrize("smart", [True, False])
-def test_threaded_rows_are_the_serial_bits(monkeypatch, workers, batch_size, smart):
+def test_threaded_rows_are_the_serial_bits(monkeypatch, workers, n, batch_size, smart):
+    # slabs of the default dims' 896 tokens, so the fixed-order 200-text call is 3 slabs, not 1
+    monkeypatch.setattr(semb.embedder, "_SLAB_BYTES", 896 * 24 * 4)
     emb = small_embedder(seed=3)
-    texts = corpus(150, seed=1)
+    texts = corpus(n, seed=1)
     serial = emb.embed(texts, batch_size=batch_size, smart=smart)
     with_workers(monkeypatch, workers)
     seen = both_threads_forward(emb, monkeypatch)
@@ -95,7 +98,7 @@ def test_many_helpers_with_frequent_switches_take_each_slab_once(monkeypatch, fo
 
     monkeypatch.setattr(semb.embedder, "_slabs", slabs)
     monkeypatch.setattr(semb.embedder, "_SLAB_BYTES", 1)  # one row per slab, so 300 jobs to share out
-    with_workers(monkeypatch, 8)  # 7 helpers on 300 batches, more threads than cores
+    with_workers(monkeypatch, 8)  # 7 helpers on 300 slabs, more threads than cores
     forward_calls.clear()  # the serial call's
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -122,7 +125,24 @@ def test_smart_batches_of_one_width_share_a_forward(forward_calls):
     assert sorted(forward_calls) == [(8, 5, 40), (16, 4, 64)]
 
 
-def test_no_helper_under_32_batches_or_at_one_worker(monkeypatch):
+def widths(count, per_width=4):
+    """`per_width` texts of each of `count` lengths: at batch size `per_width`, one slab per length."""
+    return [" ".join(["red"] * k) for k in range(1, count + 1) for _ in range(per_width)]
+
+
+@pytest.mark.parametrize(
+    "workers, texts, batch_size, slabs, helpers",
+    [(2, ["red fish"], 32, 1, 0),  # a one-text query
+     (2, ["red fish", "green stone"] * 40, 4, 1, 0),  # 20 batches of one width, under the budget
+     (2, widths(2), 4, 2, 1),
+     (2, widths(9), 4, 9, 1),  # one helper per idle core
+     (8, widths(3), 4, 3, 1),
+     (8, widths(6), 4, 6, 3),
+     (1, widths(9), 4, 9, 0),
+     (1, corpus(64), 1, None, 0)],
+)
+def test_one_helper_per_two_slabs_up_to_the_idle_cores(monkeypatch, forward_calls, workers, texts, batch_size,
+                                                      slabs, helpers):
     emb = small_embedder()
     started = []
     real_start = threading.Thread.start
@@ -132,16 +152,10 @@ def test_no_helper_under_32_batches_or_at_one_worker(monkeypatch):
         real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    with_workers(monkeypatch, 2)
-    emb.embed(corpus(31), batch_size=1)  # 31 batches
-    emb.embed(["red fish"])
-    assert started == []
-    with_workers(monkeypatch, 1)
-    emb.embed(corpus(64), batch_size=1)
-    assert started == []
-    with_workers(monkeypatch, 2)
-    emb.embed(corpus(32), batch_size=1)
-    assert started == ["semb-embed"]
+    with_workers(monkeypatch, workers)
+    emb.embed(texts, batch_size=batch_size)
+    assert slabs is None or len(forward_calls) == slabs
+    assert started == ["semb-embed"] * helpers
 
 
 @pytest.mark.parametrize("fail_in", ["helper", "caller"])

@@ -6,6 +6,8 @@ from semb.data import ScoredPair, TripletExample
 from semb.evaluation import (
     ConstantInputError,
     DegenerateEvalError,
+    SIMILARITY_METRICS,
+    TRIPLET_METRICS,
     EvalConfig,
     evaluate_similarity,
     fractional_ranks,
@@ -198,6 +200,60 @@ def test_triplet_accuracy_cosine_distance_metric():
         triplet_accuracy(embed, [TripletExample("a", "p", "n")], metric="dot")
     with pytest.raises(DegenerateEvalError):
         triplet_accuracy(embed, [])
+
+
+# --- one embed call per evaluation -------------------------------------------
+
+
+class CountingEmbed:
+    """A fake `embed`: each text's fixed float32 row, and the texts of every call."""
+
+    def __init__(self, texts, dim=5, seed=0):
+        rng = np.random.default_rng(seed)
+        self.rows = {t: rng.normal(size=dim).astype(np.float32) for t in texts}
+        self.calls = []
+
+    def __call__(self, texts):
+        self.calls.append(list(texts))
+        return np.array([self.rows[t] for t in texts])
+
+
+def scored_pairs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [ScoredPair(f"a{i}", f"b{i}", float(rng.uniform(0, 5))) for i in range(n)]
+
+
+def triplets(n):
+    return [TripletExample(f"x{i}", f"p{i}", f"n{i}") for i in range(n)]
+
+
+@pytest.mark.parametrize("metric", SIMILARITY_METRICS)
+def test_evaluate_similarity_embeds_both_towers_in_one_call(metric):
+    pairs = scored_pairs(23, seed=4)
+    embed = CountingEmbed([t for p in pairs for t in (p.a, p.b)], seed=5)
+    report = evaluate_similarity(embed, pairs, metric=metric)
+    assert embed.calls == [[p.a for p in pairs] + [p.b for p in pairs]]
+    # the per-tower computation on the same fake
+    predicted = pair_scores(embed([p.a for p in pairs]), embed([p.b for p in pairs]), metric)
+    gold = [p.score for p in pairs]
+    assert report == {"spearman": spearman(predicted, gold), "pearson": pearson(predicted, gold), "n": 23,
+                      "metric": metric}
+
+
+@pytest.mark.parametrize("metric", TRIPLET_METRICS)
+def test_triplet_accuracy_embeds_all_three_towers_in_one_call(metric):
+    trips = triplets(31)
+    embed = CountingEmbed([t for x in trips for t in (x.anchor, x.positive, x.negative)], seed=6)
+    accuracy = triplet_accuracy(embed, trips, metric=metric)
+    assert embed.calls == [[t.anchor for t in trips] + [t.positive for t in trips] + [t.negative for t in trips]]
+    a, p, n = (np.asarray(embed([getattr(t, f) for t in trips]), dtype=np.float64)
+               for f in ("anchor", "positive", "negative"))
+    if metric == "euclidean":
+        wins = np.linalg.norm(a - p, axis=1) < np.linalg.norm(a - n, axis=1)
+    else:
+        wins = (1.0 - pair_scores(a, p)) < (1.0 - pair_scores(a, n))
+    assert 0.0 < accuracy < 1.0
+    assert accuracy == float(np.mean(wins))
 
 
 # --- stratified folds ---------------------------------------------------------

@@ -790,7 +790,7 @@ def test_float32_tiles_on_helper_threads_give_the_float64_scans_answer(seed, blo
     if not 0.0 < np.linalg.norm(query.astype(np.float64)) < np.inf:
         query = np.ones(store.dim)
     with mock.patch.object(semb.search, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(semb.embedder, "_BATCHES_PER_HELPER", per_helper), \
+            mock.patch.object(semb.search, "_TILES_PER_HELPER", per_helper), \
             mock.patch.object(semb.embedder, "_worker_count", lambda: 2):
         got = most_similar_pair(store)
         hits = {k: top_k(store, query, k) for k in range(1, len(store) + 2)}
@@ -806,7 +806,7 @@ def test_a_tile_that_fails_on_a_helper_thread_raises_in_the_caller_and_leaves_no
     helper_took_a_tile = threading.Event()
     run_jobs = semb.search._run_jobs
 
-    def failing_on_the_helper(jobs, work):
+    def failing_on_the_helper(jobs, work, per_helper):
         def tile(job):
             if threading.current_thread().name == "semb-embed":
                 helper_took_a_tile.set()
@@ -814,7 +814,7 @@ def test_a_tile_that_fails_on_a_helper_thread_raises_in_the_caller_and_leaves_no
             helper_took_a_tile.wait(10.0)  # so the caller cannot drain every tile first
             work(job)
 
-        run_jobs(jobs, tile)
+        run_jobs(jobs, tile, per_helper)
 
     monkeypatch.setattr(semb.search, "_run_jobs", failing_on_the_helper)
     monkeypatch.setattr(semb.search, "_BLOCK_ROWS", 2)
